@@ -1,35 +1,21 @@
 """Hot numeric kernels: pairwise feedback tables and bucket counting.
 
-Two implementations are provided for each kernel: a numba ``@njit`` version
-and a pure-numpy version. The active path is chosen at import time; set the
-environment variable ``QUERYMIND_NO_NUMBA=1`` to force the numpy path (the
-numpy path is also used automatically when numba is unavailable).
-
 Feedback ids: a (black, white) response is packed as ``black * (n+1) + white``
 for black+white configs, or just ``black`` for black-only configs, giving a
 dense integer range suitable for bincount-style bucket sizing.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "QUERYMIND_NO_NUMBA"
-
-
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() not in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+# read by perfbench/envinfo.py for its environment record
+USING_NUMBA = False
 
 _CHUNK = 256  # query rows per broadcast chunk, bounds peak memory
+CHUNK_CELLS = 1 << 18  # table cells per max_bucket_sizes chunk
 
 
-def black_counts_numpy(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def black_counts(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Black-peg counts for every (query, code) pair; shape (Q, H) int16."""
     q_rows = queries.shape[0]
     out = np.empty((q_rows, codes.shape[0]), dtype=np.int16)
@@ -49,12 +35,12 @@ def _color_counts(codes: np.ndarray, k: int) -> np.ndarray:
     return counts
 
 
-def feedback_ids_numpy(
+def feedback_ids(
     queries: np.ndarray, codes: np.ndarray, k: int, black_white: bool
 ) -> np.ndarray:
     """Packed feedback ids for every (query, code) pair; shape (Q, H) int16."""
     n = queries.shape[1]
-    black = black_counts_numpy(queries, codes)
+    black = black_counts(queries, codes)
     if not black_white:
         return black
     qc = _color_counts(queries, k)
@@ -69,118 +55,24 @@ def feedback_ids_numpy(
     return out
 
 
-def max_bucket_sizes_numpy(fids: np.ndarray, n_fids: int) -> np.ndarray:
-    """For each row of feedback ids, the largest bucket size; shape (Q,) int64."""
+def max_bucket_sizes(fids: np.ndarray, n_fids: int) -> np.ndarray:
+    """For each row of feedback ids, the largest bucket size; shape (Q,) int64.
+
+    Rows are counted in chunks of at most CHUNK_CELLS cells, through one
+    int64 buffer reused by every chunk, so the temporaries stay within
+    CHUNK_CELLS cells whatever the input.
+    """
     q_rows, s_cols = fids.shape
     if s_cols == 0:
         return np.zeros(q_rows, dtype=np.int64)
     out = np.empty(q_rows, dtype=np.int64)
-    rows_per_chunk = max(1, (1 << 22) // max(1, n_fids))
-    offsets = np.arange(q_rows, dtype=np.int64)[:, None] * n_fids
+    rows_per_chunk = max(1, CHUNK_CELLS // max(s_cols, n_fids))
+    offsets = np.arange(rows_per_chunk, dtype=np.int64)[:, None] * n_fids
+    flat = np.empty((min(rows_per_chunk, q_rows), s_cols), dtype=np.int64)
     for lo in range(0, q_rows, rows_per_chunk):
         hi = min(lo + rows_per_chunk, q_rows)
-        flat = (fids[lo:hi].astype(np.int64) + offsets[: hi - lo]).ravel()
-        counts = np.bincount(flat, minlength=(hi - lo) * n_fids)
+        chunk = flat[: hi - lo]
+        np.add(fids[lo:hi], offsets[: hi - lo], out=chunk)
+        counts = np.bincount(chunk.ravel(), minlength=(hi - lo) * n_fids)
         out[lo:hi] = counts.reshape(hi - lo, n_fids).max(axis=1)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-USING_NUMBA = False
-
-if _numba_requested():
-    try:
-        import numba as nb
-
-        @nb.njit(cache=True)
-        def _black_counts_nb(queries, codes):  # pragma: no cover - jitted
-            q_rows, n = queries.shape
-            h_rows = codes.shape[0]
-            out = np.empty((q_rows, h_rows), dtype=np.int16)
-            for i in range(q_rows):
-                for j in range(h_rows):
-                    b = 0
-                    for t in range(n):
-                        if queries[i, t] == codes[j, t]:
-                            b += 1
-                    out[i, j] = b
-            return out
-
-        @nb.njit(cache=True)
-        def _feedback_ids_nb(queries, codes, k, black_white):  # pragma: no cover
-            q_rows, n = queries.shape
-            h_rows = codes.shape[0]
-            out = np.empty((q_rows, h_rows), dtype=np.int16)
-            qc = np.zeros((q_rows, k + 1), dtype=np.int16)
-            hc = np.zeros((h_rows, k + 1), dtype=np.int16)
-            if black_white:
-                for i in range(q_rows):
-                    for t in range(n):
-                        qc[i, queries[i, t]] += 1
-                for j in range(h_rows):
-                    for t in range(n):
-                        hc[j, codes[j, t]] += 1
-            for i in range(q_rows):
-                for j in range(h_rows):
-                    b = 0
-                    for t in range(n):
-                        if queries[i, t] == codes[j, t]:
-                            b += 1
-                    if black_white:
-                        m = 0
-                        for c in range(1, k + 1):
-                            m += min(qc[i, c], hc[j, c])
-                        out[i, j] = b * (n + 1) + (m - b)
-                    else:
-                        out[i, j] = b
-            return out
-
-        @nb.njit(cache=True)
-        def _max_bucket_sizes_nb(fids, n_fids):  # pragma: no cover - jitted
-            q_rows, s_cols = fids.shape
-            out = np.zeros(q_rows, dtype=np.int64)
-            counts = np.zeros(n_fids, dtype=np.int64)
-            for i in range(q_rows):
-                for f in range(n_fids):
-                    counts[f] = 0
-                best = 0
-                for j in range(s_cols):
-                    counts[fids[i, j]] += 1
-                    if counts[fids[i, j]] > best:
-                        best = counts[fids[i, j]]
-                out[i] = best
-            return out
-
-        def black_counts_numba(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
-            return _black_counts_nb(
-                np.ascontiguousarray(queries), np.ascontiguousarray(codes)
-            )
-
-        def feedback_ids_numba(
-            queries: np.ndarray, codes: np.ndarray, k: int, black_white: bool
-        ) -> np.ndarray:
-            return _feedback_ids_nb(
-                np.ascontiguousarray(queries),
-                np.ascontiguousarray(codes),
-                k,
-                black_white,
-            )
-
-        def max_bucket_sizes_numba(fids: np.ndarray, n_fids: int) -> np.ndarray:
-            return _max_bucket_sizes_nb(np.ascontiguousarray(fids), n_fids)
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        USING_NUMBA = False
-
-if USING_NUMBA:
-    black_counts = black_counts_numba
-    feedback_ids = feedback_ids_numba
-    max_bucket_sizes = max_bucket_sizes_numba
-else:
-    black_counts = black_counts_numpy
-    feedback_ids = feedback_ids_numpy
-    max_bucket_sizes = max_bucket_sizes_numpy

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -272,6 +273,12 @@ def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
+    # k**n has floor(n*log10(k)) + 1 digits; the report writes it as a string
+    digit_limit = sys.get_int_max_str_digits()
+    if digit_limit and args.k >= 1 and args.n * math.log10(args.k) >= digit_limit:
+        raise CapacityError(
+            f"k**n for n={args.n}, k={args.k} has more than {digit_limit} digits"
+        )
     report = bound_report(args.n, args.k, log_base=args.log_base)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -355,8 +362,12 @@ def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
 
 def _cmd_entropy_audit(args: argparse.Namespace, out: Path) -> int:
     config = _config_from(args)
-    space = CodeSpace.enumerate(config)
-    query = parse_code(args.query) if args.query else space.decode(0)
+    if args.query:
+        query = parse_code(args.query)
+    elif config.repeats is Repeats.FORBIDDEN:
+        query = tuple(range(1, config.n + 1))  # lex-first code
+    else:
+        query = (1,) * config.n
     value = nonadaptive.entropy_audit(config, query)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,7 +22,13 @@ from .codespace import (
     validate_code,
 )
 from .errors import CapacityError, DomainError, ProtocolError
-from .strategies import SolutionSet, Strategy, Turn, filter_consistent
+from .strategies import (
+    MinimaxStrategy,
+    SolutionSet,
+    Strategy,
+    Turn,
+    filter_consistent,
+)
 
 DETERMINED = "determined"
 EXHAUSTED = "exhausted"
@@ -63,15 +69,15 @@ def default_turn_budget(config: VariantConfig) -> int:
     return config.n * config.k + 1
 
 
-def play_honest(
+def _play(
     strategy: Strategy,
-    h: Code,
     config: VariantConfig,
-    turn_budget: Optional[int] = None,
-    space: Optional[CodeSpace] = None,
+    answer: Callable[[SolutionSet, Code], tuple[Feedback, SolutionSet]],
+    turn_budget: Optional[int],
+    space: Optional[CodeSpace],
 ) -> GameTranscript:
-    """Run an adaptive game against the honest codemaker holding h."""
-    validate_code(h, config)
+    """Game loop shared by every codemaker; answer(s, q) returns the
+    response to q and the solution set left after it."""
     if space is None:
         space = CodeSpace.enumerate(config)
     budget = default_turn_budget(config) if turn_budget is None else turn_budget
@@ -86,13 +92,29 @@ def play_honest(
             validate_code(q, config)
         except Exception as exc:
             raise ProtocolError(f"strategy emitted invalid code {q!r}") from exc
-        r = feedback(q, h, config)
-        s = filter_consistent(s, q, r)
+        r, s = answer(s, q)
         turns.append((q, r))
         sizes.append(len(s))
     if len(s) == 1:
         return GameTranscript(config, tuple(turns), DETERMINED, s.sole_code(), tuple(sizes))
     return GameTranscript(config, tuple(turns), EXHAUSTED, None, tuple(sizes))
+
+
+def play_honest(
+    strategy: Strategy,
+    h: Code,
+    config: VariantConfig,
+    turn_budget: Optional[int] = None,
+    space: Optional[CodeSpace] = None,
+) -> GameTranscript:
+    """Run an adaptive game against the honest codemaker holding h."""
+    validate_code(h, config)
+
+    def answer(s: SolutionSet, q: Code) -> tuple[Feedback, SolutionSet]:
+        r = feedback(q, h, config)
+        return r, filter_consistent(s, q, r)
+
+    return _play(strategy, config, answer, turn_budget, space)
 
 
 def adversary_feedback(
@@ -120,26 +142,13 @@ def play_adversarial(
     space: Optional[CodeSpace] = None,
 ) -> GameTranscript:
     """Run the strategy against the greedy max-bucket adversary."""
-    if space is None:
-        space = CodeSpace.enumerate(config)
-    budget = default_turn_budget(config) if turn_budget is None else turn_budget
-    if budget < 1:
-        raise DomainError(f"turn budget must be >= 1, got {budget}")
-    s = SolutionSet.full(space)
-    turns: list[Turn] = []
-    sizes = [len(s)]
-    while len(s) > 1 and len(turns) < budget:
-        q = strategy.next_query(turns, s)
-        try:
-            validate_code(q, config)
-        except Exception as exc:
-            raise ProtocolError(f"strategy emitted invalid code {q!r}") from exc
-        r, s = adversary_feedback(s, q, config)
-        turns.append((q, r))
-        sizes.append(len(s))
-    outcome = DETERMINED if len(s) == 1 else EXHAUSTED
-    solution = s.sole_code() if len(s) == 1 else None
-    return GameTranscript(config, tuple(turns), outcome, solution, tuple(sizes))
+    return _play(
+        strategy,
+        config,
+        lambda s, q: adversary_feedback(s, q, config),
+        turn_budget,
+        space,
+    )
 
 
 @dataclass
@@ -309,26 +318,6 @@ def exact_game_value(
             t += 1
         return t
 
-    from .strategies import MinimaxStrategy
-
-    greedy = MinimaxStrategy()
-
-    def greedy_depth(indices: np.ndarray, depth: int, limit: int) -> int:
-        """Worst-case determination depth of greedy minimax; upper bound."""
-        if indices.size == 1:
-            return depth
-        if depth >= limit:
-            return limit + 1
-        q = greedy.next_query([], SolutionSet(space, indices))
-        row = table[space.encode(q)][indices]
-        worst = depth
-        for fid in np.unique(row):
-            bucket = indices[row == fid]
-            worst = max(worst, greedy_depth(bucket, depth + 1, limit))
-            if worst > limit:
-                return worst
-        return worst
-
     def solve(indices: np.ndarray, budget: int) -> int:
         """Exact value if <= budget, else budget + 1."""
         if indices.size == 1:
@@ -379,7 +368,11 @@ def exact_game_value(
     all_indices = np.arange(space.size, dtype=np.int64)
     if space.size == 1:
         return ExactGameValue(0, False)
-    seed = greedy_depth(all_indices, 0, cap)
+    # greedy minimax's worst-case depth is an upper bound on the value
+    greedy = worst_case_queries(
+        MinimaxStrategy(), config, space_budget=space.size, turn_budget=cap, space=space
+    )
+    seed = cap + 1 if greedy.exhausted else greedy.max_queries
     budget = min(cap, seed)
     value = solve(all_indices, budget)
     if value > cap:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .codespace import Code, CodeSpace, Feedback, VariantConfig, encode01
+from .codespace import Code, CodeSpace, Feedback, FeedbackMode, VariantConfig, encode01
 from .errors import ContradictionError, DomainError
 
 Turn = tuple[Code, Feedback]
@@ -76,8 +76,14 @@ def replay(space: CodeSpace, turns: Sequence[Turn]) -> SolutionSet:
 def _all_scores(s: SolutionSet) -> np.ndarray:
     """Minimax score of every valid query (by index) against s."""
     space = s.space
-    fids = space.fid_table()[:, s.indices]
-    return _kernels.max_bucket_sizes(fids, space.n_fids)
+    table = space.fid_table()
+    # gather the columns of s a block of rows at a time: a copy of the
+    # whole (Q, |s|) slice would be the largest allocation of a game
+    rows = max(1, _kernels.CHUNK_CELLS // len(s))
+    return np.concatenate([
+        _kernels.max_bucket_sizes(table[lo : lo + rows, s.indices], space.n_fids)
+        for lo in range(0, space.size, rows)
+    ])
 
 
 def minimax_score(q: Code, s: SolutionSet, config: VariantConfig) -> int:
@@ -179,6 +185,23 @@ def _basis_from(queries: Sequence[Code], responses: Sequence[int], space: CodeSp
     return basis
 
 
+def _first_outside_span(
+    basis: _RationalBasis, space: CodeSpace, marks: np.ndarray
+) -> Optional[Code]:
+    """Lowest-index code whose encoding lies outside the basis span, or None.
+
+    Codes found inside the span are marked and skipped: they stay inside as
+    the basis grows.
+    """
+    config = space.config
+    for idx in np.flatnonzero(~marks):
+        c = space.decode(int(idx))
+        if not basis.in_span(encode01(c, config)):
+            return c
+        marks[idx] = True
+    return None
+
+
 def basis_next(
     history: Sequence[Turn], space: CodeSpace
 ) -> Union[Code, Decoded]:
@@ -194,11 +217,9 @@ def basis_next(
     queries = [q for q, _ in history]
     responses = [r.black for _, r in history]
     basis = _basis_from(queries, responses, space)
-    config = space.config
-    for idx in range(space.size):
-        c = space.decode(idx)
-        if not basis.in_span(encode01(c, config)):
-            return c
+    c = _first_outside_span(basis, space, np.zeros(space.size, dtype=bool))
+    if c is not None:
+        return c
     return Decoded(decode_candidates(queries, responses, space))
 
 
@@ -215,18 +236,18 @@ def decode_candidates(
     candidate, which is returned instead.
     """
     config = space.config
-    consistent = [
-        c
-        for c in space
-        if all(
-            sum(1 for a, b in zip(q, c) if a == b) == resp
-            for q, resp in zip(queries, responses)
-        )
-    ]
+    table = space.fid_table()
+    keep = np.ones(space.size, dtype=bool)
+    for q, resp in zip(queries, responses):
+        black = table[space.encode(q)]
+        if config.feedback is FeedbackMode.BLACK_WHITE:
+            black = black // (config.n + 1)
+        keep &= black == resp
+    consistent = np.flatnonzero(keep)
     if len(consistent) == 0:
         raise ContradictionError("no code is consistent with the responses")
     if len(consistent) == 1:
-        return consistent[0]
+        return space.decode(int(consistent[0]))
     basis = _basis_from(queries, responses, space)
     hits: list[Code] = []
     for idx in range(space.size):
@@ -325,14 +346,8 @@ class BasisStrategy(Strategy):
             if hit is not None:
                 return hit
             marks, basis = self._scan_state(prefix, space)
-            config = space.config
-            for idx in range(space.size):
-                if marks[idx]:
-                    continue
-                c = space.decode(idx)
-                if basis.in_span(encode01(c, config)):
-                    marks[idx] = True
-                    continue
+            c = _first_outside_span(basis, space, marks)
+            if c is not None:
                 self._memo[prefix] = c
                 return c
         raise ContradictionError(

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from querymind.cli import run
+from querymind.codespace import FeedbackMode, Mode, Repeats, VariantConfig
+from querymind.nonadaptive import entropy_audit
 
 
 def read_json(path):
@@ -43,6 +45,12 @@ class TestExitCodes:
         )
         assert code == 2
         assert "capacity error" in capsys.readouterr().err
+
+    def test_bounds_too_many_digits_is_capacity(self, tmp_path, capsys):
+        code = run(["bounds", "--n", "1500", "--k", "1500", "--out", str(tmp_path)])
+        assert code == 2
+        assert "capacity error" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.json").exists()
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
@@ -247,6 +255,28 @@ class TestEntropyAudit:
         payload = read_json(tmp_path / "entropy_audit.json")
         assert payload["result"]["entropy_bits"] == pytest.approx(1.75)
         assert payload["result"]["below_constant_3"] is True
+
+    def test_closed_form_without_enumeration(self, tmp_path):
+        # 12! codes exceed the enumeration budget; the audit needs none
+        code = run(
+            [
+                "entropy-audit",
+                "--n", "12", "--k", "12",
+                "--repeats", "no",
+                "--feedback", "b",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        config = VariantConfig(
+            12, 12, feedback=FeedbackMode.BLACK_ONLY, repeats=Repeats.FORBIDDEN,
+            mode=Mode.NON_ADAPTIVE,
+        )
+        payload = read_json(tmp_path / "entropy_audit.json")
+        assert payload["result"]["query"] == "1,2,3,4,5,6,7,8,9,10,11,12"
+        assert payload["result"]["entropy_bits"] == entropy_audit(
+            config, tuple(range(1, 13))
+        )
 
     def test_rejects_repeats(self, tmp_path):
         code = run(

@@ -107,6 +107,18 @@ class TestAdversary:
         with pytest.raises(DomainError):
             adversary_feedback(SolutionSet(space, []), (1, 2, 3), cfg)
 
+    @pytest.mark.parametrize("name", ["minimax", "first-consistent", "basis"])
+    @pytest.mark.parametrize(
+        "cfg", [perm_config(4), VariantConfig(3, 3)], ids=["perm4-b", "3-3-bw"]
+    )
+    def test_honest_play_against_adversary_solution_repeats_turns(self, cfg, name):
+        space = CodeSpace.enumerate(cfg)
+        adv = play_adversarial(get_strategy(name), cfg, space=space)
+        assert adv.outcome == DETERMINED
+        honest = play_honest(get_strategy(name), adv.solution, cfg, space=space)
+        assert honest.turns == adv.turns
+        assert honest.sizes == adv.sizes
+
 
 class TestWorstCase:
     def test_perm2_first_consistent(self):

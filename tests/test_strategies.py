@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from querymind import _kernels
 from querymind.codespace import (
     CodeSpace,
     Feedback,
@@ -101,6 +104,21 @@ class TestMinimax:
         space = CodeSpace.enumerate(cfg)
         q = minimax_next(SolutionSet.full(space), cfg)
         assert sorted(q.count(c) for c in set(q)) == [2, 2]
+
+    def test_scores_gather_table_in_blocks(self):
+        # scoring the full set must not copy the whole table slice at once
+        cfg = VariantConfig(5, 5)
+        space = CodeSpace.enumerate(cfg)
+        table = space.fid_table()
+        tracemalloc.start()
+        try:
+            q = minimax_next(SolutionSet.full(space), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes / 4
+        scores = _kernels.max_bucket_sizes(table, space.n_fids)
+        assert space.encode(q) == int(np.flatnonzero(scores == scores.min())[0])
 
     def test_never_repeats_while_undetermined(self, perm3):
         cfg, space = perm3
@@ -211,6 +229,20 @@ class TestDecodeCandidates:
         for h in space:
             responses = [black(q, h) for q in queries]
             assert decode_candidates(queries, responses, space) == h
+
+    def test_black_white_space_filters_on_black_pegs(self):
+        # responses are black counts; the space's table packs white pegs too
+        cfg = VariantConfig(2, 3)
+        space = CodeSpace.enumerate(cfg)
+        queries = [(1, 2), (2, 3), (3, 1)]
+        for h in space:
+            responses = [black(q, h) for q in queries]
+            consistent = [
+                c for c in space
+                if all(black(q, c) == r for q, r in zip(queries, responses))
+            ]
+            if len(consistent) == 1:
+                assert decode_candidates(queries, responses, space) == h
 
 
 class TestStrategyInterface:
