@@ -7,8 +7,10 @@ numpy array in lexicographic order, giving each code a stable integer index.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -230,9 +232,24 @@ class CodeSpace:
             return Feedback(fid // (self.config.n + 1), fid % (self.config.n + 1))
         return Feedback(int(fid))
 
+    @functools.cached_property
+    def _feedbacks(self) -> list[Feedback]:
+        return [self.feedback_of_fid(fid) for fid in range(self.n_fids)]
+
     def fid_table(self) -> np.ndarray:
-        """(size, size) table of packed feedback ids, row = query index."""
+        """(size, size) table of packed feedback ids, row = query index.
+
+        Raises CapacityError, before allocating, if the table alone would
+        not fit in the machine's physical memory.
+        """
         if self._fid_table is None:
+            nbytes = self.size * self.size * np.dtype(np.int16).itemsize
+            physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if nbytes > physical:
+                raise CapacityError(
+                    f"feedback table of {nbytes} bytes exceeds physical memory "
+                    f"of {physical} bytes"
+                )
             self._fid_table = _kernels.feedback_ids(
                 self.codes,
                 self.codes,
@@ -241,7 +258,29 @@ class CodeSpace:
             )
         return self._fid_table
 
-    def fid_row(self, q: Code) -> np.ndarray:
-        """Packed feedback ids of query q against every code in the space."""
-        qi = self.encode(q)
-        return self.fid_table()[qi]
+    def split(self, qi: int, indices: np.ndarray) -> list[tuple[Feedback, np.ndarray]]:
+        """Non-empty response buckets of query index qi over the codes at
+        indices, as (response, member indices) pairs in ascending packed-id
+        order; each bucket keeps the order of indices."""
+        row = self.fid_table()[qi, indices]
+        order = row.argsort(kind="stable")
+        fids = row[order].tolist()
+        members = indices[order]
+        cuts = [i for i in range(1, len(fids)) if fids[i] != fids[i - 1]]
+        feedbacks = self._feedbacks
+        return [
+            (feedbacks[fids[lo]], members[lo:hi])
+            for lo, hi in zip([0, *cuts], [*cuts, len(fids)])
+        ]
+
+    def minimax_scores(self, indices: np.ndarray) -> np.ndarray:
+        """Largest response bucket over the codes at indices, for every
+        query (by index); shape (size,) int64."""
+        table = self.fid_table()
+        # gather the columns a block of rows at a time: a copy of the whole
+        # (size, len(indices)) slice would be the largest allocation of a game
+        rows = max(1, _kernels.CHUNK_CELLS // len(indices))
+        return np.concatenate([
+            _kernels.max_bucket_sizes(table[lo : lo + rows, indices], self.n_fids)
+            for lo in range(0, self.size, rows)
+        ])

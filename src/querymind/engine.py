@@ -128,11 +128,10 @@ def adversary_feedback(
     if len(s_prev) < 1:
         raise DomainError("adversary needs a nonempty solution set")
     space = s_prev.space
-    row = space.fid_table()[space.encode(q)][s_prev.indices]
-    counts = np.bincount(row, minlength=space.n_fids)
-    fid = int(np.argmax(counts))  # argmax returns the smallest maximizing fid
-    keep = row == fid
-    return space.feedback_of_fid(fid), SolutionSet(space, s_prev.indices[keep])
+    buckets = space.split(space.encode(q), s_prev.indices)
+    # max keeps the first largest bucket: the smallest packed feedback id
+    r, bucket = max(buckets, key=lambda pair: len(pair[1]))
+    return r, SolutionSet(space, bucket)
 
 
 def play_adversarial(
@@ -210,9 +209,14 @@ def worst_case_queries(
     budget = default_turn_budget(config) if turn_budget is None else turn_budget
     per_code = np.full(space.size, -1, dtype=np.int64)
     per_code_win = np.full(space.size, -1, dtype=np.int64)
-    table = space.fid_table()
 
-    def walk(indices: np.ndarray, turns: list[Turn], depth: int) -> None:
+    def walk(
+        indices: np.ndarray,
+        turns: list[Turn],
+        depth: int,
+        pool: Optional[ThreadPoolExecutor] = None,
+    ) -> None:
+        # only the root is given the pool: its buckets run in worker threads
         if indices.size == 1:
             idx = int(indices[0])
             per_code[idx] = depth
@@ -227,28 +231,21 @@ def worst_case_queries(
             validate_code(q, config)
         except Exception as exc:
             raise ProtocolError(f"strategy emitted invalid code {q!r}") from exc
-        row = table[space.encode(q)][indices]
         # a bucket equal to the whole set is allowed (e.g. a basis query that
         # grows the rank without splitting); the turn budget bounds recursion
-        for fid in np.unique(row):
-            bucket = indices[row == fid]
-            walk(bucket, turns + [(q, space.feedback_of_fid(int(fid)))], depth + 1)
-
-    all_indices = np.arange(space.size, dtype=np.int64)
-    if threads and threads > 1 and space.size > 1:
-        s0 = SolutionSet(space, all_indices)
-        q0 = strategy.next_query([], s0)
-        row0 = table[space.encode(q0)]
-        jobs = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for fid in np.unique(row0):
-                bucket = all_indices[row0 == fid]
-                turn = [(q0, space.feedback_of_fid(int(fid)))]
-                jobs.append(pool.submit(walk, bucket, turn, 1))
-            for job in jobs:
+        children = [
+            (bucket, turns + [(q, r)], depth + 1)
+            for r, bucket in space.split(space.encode(q), indices)
+        ]
+        if pool is None:
+            for child in children:
+                walk(*child)
+        else:
+            for job in [pool.submit(walk, *child) for child in children]:
                 job.result()
-    else:
-        walk(all_indices, [], 0)
+
+    with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
+        walk(np.arange(space.size, dtype=np.int64), [], 0, pool)
 
     exhausted = [space.decode(int(i)) for i in np.flatnonzero(per_code < 0)]
     determined = per_code[per_code >= 0]
@@ -305,7 +302,6 @@ def exact_game_value(
             f"space size {space.size} exceeds exact-solver budget {space_budget}"
         )
     cap = default_turn_budget(config) if depth_cap is None else depth_cap
-    table = space.fid_table()
     n_fids = space.n_fids
     exact: dict[bytes, int] = {}
     proven_above: dict[bytes, int] = {}  # key -> largest cap known insufficient
@@ -333,22 +329,19 @@ def exact_game_value(
         if above is not None and above >= budget:
             return budget + 1
         best = budget + 1
-        seen_partitions: set[bytes] = set()
+        seen_partitions: set[tuple[bytes, ...]] = set()
         for qi in range(space.size):
-            row = table[qi][indices]
-            fids, inverse = np.unique(row, return_inverse=True)
-            if fids.size == 1:
+            buckets = [bucket for _, bucket in space.split(qi, indices)]
+            if len(buckets) == 1:
                 continue  # uninformative query
-            sig = inverse.astype(np.int8).tobytes()
+            # one entry per bucket keeps the boundaries: [1,2],[3] != [1],[2,3]
+            sig = tuple(bucket.tobytes() for bucket in buckets)
             if sig in seen_partitions:
                 continue  # identical partition already scored
             seen_partitions.add(sig)
-            order = np.argsort(
-                -np.bincount(inverse, minlength=fids.size)
-            )  # biggest bucket first fails fastest
             worst = 0
-            for bi in order:
-                bucket = indices[inverse == bi]
+            # biggest bucket first fails fastest
+            for bucket in sorted(buckets, key=len, reverse=True):
                 sub = solve(bucket, best - 2)
                 if sub > best - 2:
                     worst = best  # this query cannot beat best

@@ -199,17 +199,12 @@ def min_nonadaptive_size(
 
 def greedy_query_set(
     config: VariantConfig,
-    seed: int = 0,
     space_budget: int = 100_000,
     space: Optional[CodeSpace] = None,
 ) -> QuerySet:
     """Identifiable query set built greedily: each appended query minimizes
     the number of still-unresolved code pairs, ties by lowest query index.
-
-    Deterministic for a fixed seed; the seed is reserved for randomized
-    restarts and does not affect the current greedy sweep.
     """
-    del seed  # reserved
     if space is None:
         space = CodeSpace.enumerate(config)
     if space.size > space_budget:

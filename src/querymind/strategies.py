@@ -20,9 +20,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
-from .codespace import Code, CodeSpace, Feedback, FeedbackMode, VariantConfig, encode01
-from .errors import ContradictionError, DomainError
+from .codespace import Code, CodeSpace, Feedback, VariantConfig, encode01
+from .errors import ContradictionError, DomainError, ProtocolError
 
 Turn = tuple[Code, Feedback]
 
@@ -60,9 +59,11 @@ class SolutionSet:
 def filter_consistent(s: SolutionSet, q: Code, r: Feedback) -> SolutionSet:
     """Members of s whose feedback to q equals r; may be empty."""
     space = s.space
-    row = space.fid_table()[space.encode(q)]
-    keep = row[s.indices] == space.fid_of(r)
-    return SolutionSet(space, s.indices[keep])
+    want = space.feedback_of_fid(space.fid_of(r))  # as split reports it
+    for fb, bucket in space.split(space.encode(q), s.indices):
+        if fb == want:
+            return SolutionSet(space, bucket)
+    return SolutionSet(space, s.indices[:0])
 
 
 def replay(space: CodeSpace, turns: Sequence[Turn]) -> SolutionSet:
@@ -73,32 +74,18 @@ def replay(space: CodeSpace, turns: Sequence[Turn]) -> SolutionSet:
     return s
 
 
-def _all_scores(s: SolutionSet) -> np.ndarray:
-    """Minimax score of every valid query (by index) against s."""
-    space = s.space
-    table = space.fid_table()
-    # gather the columns of s a block of rows at a time: a copy of the
-    # whole (Q, |s|) slice would be the largest allocation of a game
-    rows = max(1, _kernels.CHUNK_CELLS // len(s))
-    return np.concatenate([
-        _kernels.max_bucket_sizes(table[lo : lo + rows, s.indices], space.n_fids)
-        for lo in range(0, space.size, rows)
-    ])
-
-
 def minimax_score(q: Code, s: SolutionSet, config: VariantConfig) -> int:
     """Largest response-bucket size that query q can leave behind."""
     if len(s) < 1:
         raise DomainError("solution set must be nonempty")
     space = s.space
-    row = space.fid_table()[space.encode(q)][s.indices]
-    return int(np.bincount(row, minlength=space.n_fids).max())
+    return max(len(bucket) for _, bucket in space.split(space.encode(q), s.indices))
 
 def minimax_next(s: SolutionSet, config: VariantConfig) -> Code:
     """Minimum-score query; ties prefer members of s, then lowest index."""
     if len(s) < 2:
         raise DomainError("minimax needs at least 2 remaining candidates")
-    scores = _all_scores(s)
+    scores = s.space.minimax_scores(s.indices)
     best = scores.min()
     tied = np.flatnonzero(scores == best)
     in_s = tied[np.isin(tied, s.indices, assume_unique=False)]
@@ -236,14 +223,11 @@ def decode_candidates(
     candidate, which is returned instead.
     """
     config = space.config
-    table = space.fid_table()
-    keep = np.ones(space.size, dtype=bool)
+    consistent = np.arange(space.size, dtype=np.int64)
     for q, resp in zip(queries, responses):
-        black = table[space.encode(q)]
-        if config.feedback is FeedbackMode.BLACK_WHITE:
-            black = black // (config.n + 1)
-        keep &= black == resp
-    consistent = np.flatnonzero(keep)
+        # white pegs are ignored: keep every bucket with the black count
+        keep = [b for r, b in space.split(space.encode(q), consistent) if r.black == resp]
+        consistent = np.sort(np.concatenate(keep)) if keep else consistent[:0]
     if len(consistent) == 0:
         raise ContradictionError("no code is consistent with the responses")
     if len(consistent) == 1:
@@ -298,7 +282,8 @@ class MinimaxStrategy(Strategy):
 
 class BasisStrategy(Strategy):
     """Linear-algebra strategy; the query sequence depends only on the prior
-    queries (never on responses), so successive prefixes share one scan.
+    queries (never on responses), so every game walks one list of queries,
+    extended on demand.
 
     Codes found dependent stay dependent as the basis grows, which lets the
     lexicographic scan skip them on later turns.
@@ -307,52 +292,30 @@ class BasisStrategy(Strategy):
     name = "basis"
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[Code, ...], Code] = {}
-        self._marks_prefix: tuple[Code, ...] = ()
+        self._queries: list[Code] = []
         self._marks: Optional[np.ndarray] = None
         self._basis: Optional[_RationalBasis] = None
         self._lock = threading.Lock()
 
-    def _scan_state(
-        self, prefix: tuple[Code, ...], space: CodeSpace
-    ) -> tuple[np.ndarray, _RationalBasis]:
-        config = space.config
-        if (
-            self._marks is not None
-            and self._basis is not None
-            and prefix[:-1] == self._marks_prefix
-            and len(prefix) == len(self._marks_prefix) + 1
-        ):
-            self._basis.add(encode01(prefix[-1], config), 0)
-            marks = self._marks
-        else:
-            marks = np.zeros(space.size, dtype=bool)
-            basis = _RationalBasis(config.n * config.k)
-            for q in prefix:
-                basis.add(encode01(q, config), 0)
-            self._basis = basis
-        self._marks_prefix = prefix
-        self._marks = marks
-        return marks, self._basis  # type: ignore[return-value]
-
     def next_query(self, history: Sequence[Turn], s: SolutionSet) -> Code:
         space = s.space
-        prefix = tuple(q for q, _ in history)
-        hit = self._memo.get(prefix)
-        if hit is not None:
-            return hit
+        config = space.config
         with self._lock:
-            hit = self._memo.get(prefix)
-            if hit is not None:
-                return hit
-            marks, basis = self._scan_state(prefix, space)
-            c = _first_outside_span(basis, space, marks)
-            if c is not None:
-                self._memo[prefix] = c
-                return c
-        raise ContradictionError(
-            "query span exhausted while multiple candidates remain"
-        )
+            if self._basis is None:
+                self._basis = _RationalBasis(config.n * config.k)
+                self._marks = np.zeros(space.size, dtype=bool)
+            while len(self._queries) <= len(history):
+                c = _first_outside_span(self._basis, space, self._marks)
+                if c is None:
+                    raise ContradictionError(
+                        "query span exhausted while multiple candidates remain"
+                    )
+                self._basis.add(encode01(c, config), 0)
+                self._queries.append(c)
+            queries = self._queries[: len(history) + 1]
+        if any(tuple(q) != mine for (q, _), mine in zip(history, queries)):
+            raise ProtocolError("history does not follow the basis query sequence")
+        return queries[-1]
 
 
 _STRATEGIES = {

@@ -52,6 +52,20 @@ class TestExitCodes:
         assert "capacity error" in capsys.readouterr().err
         assert not (tmp_path / "bounds.json").exists()
 
+    def test_table_beyond_physical_memory_is_capacity(self, tmp_path, capsys):
+        # perm-9 has 362880 codes: its feedback table would need 245 GiB
+        code = run(
+            [
+                "solve",
+                "--n", "9", "--k", "9",
+                "--repeats", "no", "--feedback", "b",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "capacity error" in capsys.readouterr().err
+        assert not (tmp_path / "solve.json").exists()
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

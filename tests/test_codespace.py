@@ -1,4 +1,6 @@
 import itertools
+import math
+import os
 import random
 
 import numpy as np
@@ -154,6 +156,39 @@ class TestPermutationResponseGap:
     def test_no_black_n_minus_1(self, n):
         space = CodeSpace.enumerate(perm_config(n))
         assert not np.any(space.fid_table() == n - 1)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("config", [bw_config(3, 3), perm_config(4)])
+    def test_buckets_match_scalar_feedback(self, config):
+        space = CodeSpace.enumerate(config)
+        indices = np.arange(0, space.size, 2, dtype=np.int64)
+        for qi in range(space.size):
+            q = space.decode(qi)
+            buckets = space.split(qi, indices)
+            fids = [space.fid_of(r) for r, _ in buckets]
+            assert fids == sorted(set(fids))
+            for r, bucket in buckets:
+                assert bucket.size > 0
+                assert np.all(np.diff(bucket) > 0)
+                assert all(feedback(q, space.decode(int(i)), config) == r for i in bucket)
+            assert sorted(np.concatenate([b for _, b in buckets])) == list(indices)
+
+    def test_minimax_scores_are_largest_buckets(self):
+        space = CodeSpace.enumerate(bw_config(3, 3))
+        indices = np.arange(1, space.size, 3, dtype=np.int64)
+        expected = [
+            max(len(b) for _, b in space.split(qi, indices)) for qi in range(space.size)
+        ]
+        assert space.minimax_scores(indices).tolist() == expected
+
+    def test_table_beyond_physical_memory_is_capacity(self):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        size = math.isqrt(physical // 2) + 1  # size**2 int16 cells > physical
+        config = VariantConfig(1, 2, feedback=FeedbackMode.BLACK_ONLY)
+        space = CodeSpace(config, np.ones((size, 1), dtype=np.int16))
+        with pytest.raises(CapacityError):
+            space.fid_table()
 
 
 def test_code_serialization_roundtrip():

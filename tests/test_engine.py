@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from querymind.codespace import CodeSpace, Feedback, FeedbackMode, VariantConfig, feedback
@@ -14,8 +16,8 @@ from querymind.engine import (
 )
 import numpy as np
 
-from querymind.errors import DomainError
-from querymind.strategies import SolutionSet, filter_consistent, get_strategy
+from querymind.errors import DomainError, ProtocolError
+from querymind.strategies import SolutionSet, Strategy, filter_consistent, get_strategy
 
 from conftest import perm_config
 
@@ -147,11 +149,41 @@ class TestWorstCase:
         assert sum(wc.histogram_win.values()) == 6
 
     def test_threads_agree(self, perm3):
+        # results and errors must not depend on the thread count, the root
+        # (budget check, query validation) included
         cfg, space = perm3
-        a = worst_case_queries(get_strategy("minimax"), cfg)
-        b = worst_case_queries(get_strategy("minimax"), cfg, threads=2)
-        assert np.array_equal(a.per_code, b.per_code)
-        assert np.array_equal(a.per_code_win, b.per_code_win)
+
+        class Bad(Strategy):
+            name = "bad"
+
+            def next_query(self, history, s):
+                return (9, 9, 9)
+
+        a = worst_case_queries(get_strategy("minimax"), cfg, threads=1)
+        for threads in (1, 2):
+            b = worst_case_queries(get_strategy("minimax"), cfg, threads=threads)
+            assert np.array_equal(a.per_code, b.per_code)
+            assert np.array_equal(a.per_code_win, b.per_code_win)
+            zero = worst_case_queries(
+                get_strategy("minimax"), cfg, turn_budget=0, threads=threads
+            )
+            assert zero.histogram == {}
+            assert len(zero.exhausted) == space.size
+            with pytest.raises(ProtocolError):
+                worst_case_queries(Bad(), cfg, threads=threads)
+
+    def test_basis_state_shared_by_many_threads(self):
+        # the basis strategy extends one query list from every worker thread
+        cfg = VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY)
+        expected = worst_case_queries(get_strategy("basis"), cfg, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = worst_case_queries(get_strategy("basis"), cfg, threads=8)
+                assert np.array_equal(got.per_code, expected.per_code)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestExactGameValue:

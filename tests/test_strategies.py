@@ -15,7 +15,7 @@ from querymind.codespace import (
     feedback,
 )
 from querymind.combinatorics import bucket_size
-from querymind.errors import ContradictionError, DomainError
+from querymind.errors import ContradictionError, DomainError, ProtocolError
 from querymind.strategies import (
     Decoded,
     SolutionSet,
@@ -263,6 +263,30 @@ class TestStrategyInterface:
             a = get_strategy(name).next_query([], s)
             b = get_strategy(name).next_query([], s)
             assert a == b
+
+    def test_basis_follows_its_own_query_sequence(self, perm3):
+        cfg, space = perm3
+        s = SolutionSet.full(space)
+        strategy = get_strategy("basis")
+        h = space.decode(space.size - 1)
+        history = []
+        while not isinstance(expected := basis_next(history, space), Decoded):
+            q = strategy.next_query(history, s)
+            assert q == expected
+            history.append((q, feedback(q, h, cfg)))
+        assert len(history) >= 2
+        # an earlier prefix is answered from the same list
+        assert strategy.next_query(history[:1], s) == history[1][0]
+
+    def test_basis_rejects_history_off_its_sequence(self, perm3):
+        cfg, space = perm3
+        s = SolutionSet.full(space)
+        strategy = get_strategy("basis")
+        first = strategy.next_query([], s)
+        other = space.decode(space.size - 1)
+        assert other != first
+        with pytest.raises(ProtocolError):
+            strategy.next_query([(other, Feedback(0))], s)
 
     def test_replay_matches_incremental_filter(self, perm3):
         cfg, space = perm3
