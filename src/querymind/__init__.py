@@ -53,11 +53,8 @@ from .nonadaptive import (
     response_vector,
 )
 from .strategies import (
-    Decoded,
     SolutionSet,
     Strategy,
-    basis_next,
-    decode_candidates,
     filter_consistent,
     get_strategy,
     minimax_next,

@@ -38,20 +38,24 @@ def _color_counts(codes: np.ndarray, k: int) -> np.ndarray:
 def feedback_ids(
     queries: np.ndarray, codes: np.ndarray, k: int, black_white: bool
 ) -> np.ndarray:
-    """Packed feedback ids for every (query, code) pair; shape (Q, H) int16."""
+    """Packed feedback ids for every (query, code) pair; shape (Q, H) int16.
+
+    The black counts are packed in place, one chunk at a time, using
+    black * (n+1) + (matched - black) = black * n + matched.
+    """
     n = queries.shape[1]
-    black = black_counts(queries, codes)
+    out = black_counts(queries, codes)
     if not black_white:
-        return black
+        return out
     qc = _color_counts(queries, k)
     hc = _color_counts(codes, k)
-    out = np.empty_like(black)
     for lo in range(0, queries.shape[0], _CHUNK):
         hi = min(lo + _CHUNK, queries.shape[0])
         matched = np.minimum(qc[lo:hi, None, :], hc[None, :, :]).sum(
             axis=2, dtype=np.int16
         )
-        out[lo:hi] = black[lo:hi] * np.int16(n + 1) + (matched - black[lo:hi])
+        out[lo:hi] *= np.int16(n)
+        out[lo:hi] += matched
     return out
 
 

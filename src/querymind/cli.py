@@ -295,9 +295,10 @@ def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
 
 def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
     config = _config_from(args)
+    space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
     strategy = get_strategy(args.strategy)
     transcript = engine.play_adversarial(
-        strategy, config, turn_budget=args.turn_budget
+        strategy, config, turn_budget=args.turn_budget, space=space
     )
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -321,8 +322,8 @@ def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
     config = _config_from(args)
     if config.mode is not Mode.NON_ADAPTIVE:
         raise DomainError("nonadaptive-search requires --mode nonadaptive")
-    space = CodeSpace.enumerate(config)
     if args.queries_file is not None:
+        space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
         qs = nonadaptive.QuerySet.from_file(args.queries_file, config)
         report = nonadaptive.is_identifiable(qs, space=space)
         payload = {
@@ -340,7 +341,7 @@ def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
         config,
         s_cap=args.s_cap,
         space_budget=_space_budget(args, 100_000),
-        space=space,
+        space=CodeSpace.enumerate(config),
     )
     payload = {
         "schema_version": SCHEMA_VERSION,

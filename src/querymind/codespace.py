@@ -262,6 +262,8 @@ class CodeSpace:
         """Non-empty response buckets of query index qi over the codes at
         indices, as (response, member indices) pairs in ascending packed-id
         order; each bucket keeps the order of indices."""
+        if len(indices) == 0:
+            return []
         row = self.fid_table()[qi, indices]
         order = row.argsort(kind="stable")
         fids = row[order].tolist()

@@ -32,7 +32,6 @@ from .strategies import (
 
 DETERMINED = "determined"
 EXHAUSTED = "exhausted"
-CONTRADICTION = "contradiction"
 
 DEFAULT_EXACT_BUDGET = 360
 DEFAULT_SWEEP_BUDGET = 5_000
@@ -42,7 +41,7 @@ DEFAULT_SWEEP_BUDGET = 5_000
 class GameTranscript:
     config: VariantConfig
     turns: tuple[Turn, ...]
-    outcome: str  # DETERMINED / EXHAUSTED / CONTRADICTION
+    outcome: str  # DETERMINED / EXHAUSTED
     solution: Optional[Code]  # set iff outcome is DETERMINED
     sizes: tuple[int, ...]  # |S_t| trace, sizes[0] = full space
 
@@ -69,6 +68,18 @@ def default_turn_budget(config: VariantConfig) -> int:
     return config.n * config.k + 1
 
 
+def _next_query(
+    strategy: Strategy, turns: list[Turn], s: SolutionSet, config: VariantConfig
+) -> Code:
+    """The strategy's next query; ProtocolError if it is not a valid code."""
+    q = strategy.next_query(turns, s)
+    try:
+        validate_code(q, config)
+    except Exception as exc:
+        raise ProtocolError(f"strategy emitted invalid code {q!r}") from exc
+    return q
+
+
 def _play(
     strategy: Strategy,
     config: VariantConfig,
@@ -87,11 +98,7 @@ def _play(
     turns: list[Turn] = []
     sizes = [len(s)]
     while len(s) > 1 and len(turns) < budget:
-        q = strategy.next_query(turns, s)
-        try:
-            validate_code(q, config)
-        except Exception as exc:
-            raise ProtocolError(f"strategy emitted invalid code {q!r}") from exc
+        q = _next_query(strategy, turns, s, config)
         r, s = answer(s, q)
         turns.append((q, r))
         sizes.append(len(s))
@@ -225,12 +232,7 @@ def worst_case_queries(
             return
         if depth >= budget:
             return  # left as -1: not determined within budget
-        s = SolutionSet(space, indices)
-        q = strategy.next_query(turns, s)
-        try:
-            validate_code(q, config)
-        except Exception as exc:
-            raise ProtocolError(f"strategy emitted invalid code {q!r}") from exc
+        q = _next_query(strategy, turns, SolutionSet(space, indices), config)
         # a bucket equal to the whole set is allowed (e.g. a basis query that
         # grows the rank without splitting); the turn budget bounds recursion
         children = [

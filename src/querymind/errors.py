@@ -18,7 +18,7 @@ class CapacityError(QuerymindError):
 
 
 class ContradictionError(QuerymindError):
-    """A transcript or decoding step is internally inconsistent."""
+    """A transcript is internally inconsistent with the game."""
 
 
 class ProtocolError(QuerymindError):

@@ -4,8 +4,8 @@ Provided strategies:
   * ``minimax`` -- score every valid query by its largest response bucket
     over the remaining solution set; guess a minimum-score query.
   * ``basis`` -- query codes whose 0/1 encodings are linearly independent
-    (exact rational rank tests) of all prior queries; black-peg responses
-    then determine the hidden code by linear combination.
+    (exact rational rank tests) of all prior queries; once the queries span
+    the codes, consistency filtering has isolated the hidden code.
   * ``first-consistent`` -- always guess the lowest-indexed remaining code.
 
 All strategies are deterministic: ties are broken by preferring members of
@@ -14,9 +14,8 @@ the remaining solution set, then by lowest code-space index.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,11 +41,6 @@ class SolutionSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def __contains__(self, c: Code) -> bool:
-        idx = self.space.encode(c)
-        pos = np.searchsorted(self.indices, idx)
-        return pos < self.indices.size and self.indices[pos] == idx
-
     def codes(self) -> list[Code]:
         return [self.space.decode(int(i)) for i in self.indices]
 
@@ -64,14 +58,6 @@ def filter_consistent(s: SolutionSet, q: Code, r: Feedback) -> SolutionSet:
         if fb == want:
             return SolutionSet(space, bucket)
     return SolutionSet(space, s.indices[:0])
-
-
-def replay(space: CodeSpace, turns: Sequence[Turn]) -> SolutionSet:
-    """Solution set after applying a whole transcript to the full space."""
-    s = SolutionSet.full(space)
-    for q, r in turns:
-        s = filter_consistent(s, q, r)
-    return s
 
 
 def minimax_score(q: Code, s: SolutionSet, config: VariantConfig) -> int:
@@ -93,157 +79,50 @@ def minimax_next(s: SolutionSet, config: VariantConfig) -> Code:
     return s.space.decode(chosen)
 
 
-@dataclass(frozen=True)
-class Decoded:
-    """Terminal result of the basis strategy: the hidden code is known."""
-
-    code: Code
-
-
 class _RationalBasis:
-    """Incremental exact row-echelon basis over Q with response tracking.
-
-    Rows are 0/1 code encodings; each pivot row carries the linear
-    combination of observed responses that its reduction represents, so the
-    predicted black-peg response of any vector in the span is recovered
-    during reduction.
-    """
+    """Incremental exact row-echelon basis over Q; it tracks the rank only."""
 
     def __init__(self, width: int) -> None:
         self.width = width
         self.rows: list[list[Fraction]] = []
-        self.row_resp: list[Fraction] = []
         self.pivot_cols: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(
-        self, vec: np.ndarray
-    ) -> tuple[list[Fraction], Fraction]:
+    def add(self, vec: np.ndarray) -> bool:
+        """Insert vec if it lies outside the span; return whether it did."""
         v = [Fraction(int(x)) for x in vec]
-        pred = Fraction(0)
-        for row, resp, col in zip(self.rows, self.row_resp, self.pivot_cols):
+        for row, col in zip(self.rows, self.pivot_cols):
             coef = v[col] / row[col]
             if coef:
                 for j in range(self.width):
                     if row[j]:
                         v[j] -= coef * row[j]
-                pred += coef * resp
-        return v, pred
-
-    def in_span(self, vec: np.ndarray) -> bool:
-        residual, _ = self._reduce(vec)
-        return not any(residual)
-
-    def predict(self, vec: np.ndarray) -> Optional[Fraction]:
-        """Predicted response of vec, or None if vec is outside the span."""
-        residual, pred = self._reduce(vec)
-        if any(residual):
-            return None
-        return pred
-
-    def add(self, vec: np.ndarray, resp: int) -> bool:
-        """Insert vec with its observed response; False if vec was dependent.
-
-        A dependent vector whose predicted response disagrees with the
-        observed one is a contradiction in the transcript.
-        """
-        residual, pred = self._reduce(vec)
-        pivot = next((j for j, x in enumerate(residual) if x), None)
+        pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
-            if pred != resp:
-                raise ContradictionError(
-                    f"response {resp} contradicts predicted {pred}"
-                )
             return False
-        self.rows.append(residual)
-        self.row_resp.append(Fraction(resp) - pred)
+        self.rows.append(v)
         self.pivot_cols.append(pivot)
         return True
-
-
-def _basis_from(queries: Sequence[Code], responses: Sequence[int], space: CodeSpace) -> _RationalBasis:
-    config = space.config
-    basis = _RationalBasis(config.n * config.k)
-    for q, resp in zip(queries, responses):
-        basis.add(encode01(q, config), resp)
-    return basis
 
 
 def _first_outside_span(
     basis: _RationalBasis, space: CodeSpace, marks: np.ndarray
 ) -> Optional[Code]:
-    """Lowest-index code whose encoding lies outside the basis span, or None.
+    """Add the lowest-index code whose encoding lies outside the basis span
+    to the basis and return it, or None if every code lies inside.
 
-    Codes found inside the span are marked and skipped: they stay inside as
+    Scanned codes are marked and skipped later: they stay inside the span as
     the basis grows.
     """
-    config = space.config
     for idx in np.flatnonzero(~marks):
-        c = space.decode(int(idx))
-        if not basis.in_span(encode01(c, config)):
-            return c
         marks[idx] = True
+        c = space.decode(int(idx))
+        if basis.add(encode01(c, space.config)):
+            return c
     return None
-
-
-def basis_next(
-    history: Sequence[Turn], space: CodeSpace
-) -> Union[Code, Decoded]:
-    """Next linearly independent query, or Decoded once the span is exhausted.
-
-    Only black-peg responses are used; white pegs in the history are ignored.
-    """
-    s = replay(space, history)
-    if len(s) == 0:
-        raise ContradictionError("no code is consistent with the transcript")
-    if len(s) == 1:
-        return Decoded(s.sole_code())
-    queries = [q for q, _ in history]
-    responses = [r.black for _, r in history]
-    basis = _basis_from(queries, responses, space)
-    c = _first_outside_span(basis, space, np.zeros(space.size, dtype=bool))
-    if c is not None:
-        return c
-    return Decoded(decode_candidates(queries, responses, space))
-
-
-def decode_candidates(
-    queries: Sequence[Code], responses: Sequence[int], space: CodeSpace
-) -> Code:
-    """Recover the hidden code from black-peg responses to spanning queries.
-
-    Each candidate's encoding is expressed as an exact rational combination
-    of the query encodings; the same combination of the responses predicts
-    its black-peg count, and the hidden code is the unique candidate whose
-    prediction equals n. When the queries do not span the valid-query
-    subspace, plain consistency filtering may still leave a single
-    candidate, which is returned instead.
-    """
-    config = space.config
-    consistent = np.arange(space.size, dtype=np.int64)
-    for q, resp in zip(queries, responses):
-        # white pegs are ignored: keep every bucket with the black count
-        keep = [b for r, b in space.split(space.encode(q), consistent) if r.black == resp]
-        consistent = np.sort(np.concatenate(keep)) if keep else consistent[:0]
-    if len(consistent) == 0:
-        raise ContradictionError("no code is consistent with the responses")
-    if len(consistent) == 1:
-        return space.decode(int(consistent[0]))
-    basis = _basis_from(queries, responses, space)
-    hits: list[Code] = []
-    for idx in range(space.size):
-        c = space.decode(idx)
-        pred = basis.predict(encode01(c, config))
-        if pred == config.n:
-            hits.append(c)
-    if len(hits) != 1:
-        raise ContradictionError(
-            f"{len(hits)} candidates predict a full match; queries do not span"
-        )
-    return hits[0]
 
 
 class Strategy:
@@ -287,6 +166,16 @@ class BasisStrategy(Strategy):
 
     Codes found dependent stay dependent as the basis grows, which lets the
     lexicographic scan skip them on later turns.
+
+    Why filtering alone determines the code: black(q, c) = e(q).e(c) for the
+    0/1 encodings e of ``encode01``. Let the responses come from a code h
+    (any remaining candidate). If e(h) = sum_i a_i e(q_i) lies in the span of
+    the query encodings, every consistent code c has e(h).e(c) =
+    sum_i a_i black(q_i, h) = e(h).e(h) = n, so c = h. Hence the game ends
+    once the queries span every code, and the scan runs dry only if s does
+    not match the history. If e(h) lies outside the span, rational
+    elimination of the responses gives e(c).e(h) = black(c, h) < n for every
+    code c inside it, so it could not name the code either.
     """
 
     name = "basis"
@@ -310,7 +199,6 @@ class BasisStrategy(Strategy):
                     raise ContradictionError(
                         "query span exhausted while multiple candidates remain"
                     )
-                self._basis.add(encode01(c, config), 0)
                 self._queries.append(c)
             queries = self._queries[: len(history) + 1]
         if any(tuple(q) != mine for (q, _), mine in zip(history, queries)):

@@ -66,6 +66,37 @@ class TestExitCodes:
         assert "capacity error" in capsys.readouterr().err
         assert not (tmp_path / "solve.json").exists()
 
+    def test_adversary_trace_honours_space_budget(self, tmp_path, capsys):
+        code = run(
+            [
+                "adversary-trace",
+                "--n", "4", "--k", "4",
+                "--repeats", "no", "--feedback", "b",
+                "--space-budget", "10",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "capacity error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_queries_file_check_honours_space_budget(self, tmp_path, capsys):
+        qfile = tmp_path / "probe.queries"
+        qfile.write_text("1,2,3\n1,3,2\n2,1,3\n2,3,1\n")
+        code = run(
+            [
+                "nonadaptive-search",
+                "--n", "3", "--k", "3",
+                "--repeats", "no", "--feedback", "b",
+                "--queries-file", str(qfile),
+                "--space-budget", "5",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "capacity error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [qfile]
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

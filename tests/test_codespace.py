@@ -174,6 +174,10 @@ class TestSplit:
                 assert all(feedback(q, space.decode(int(i)), config) == r for i in bucket)
             assert sorted(np.concatenate([b for _, b in buckets])) == list(indices)
 
+    def test_empty_indices_give_no_buckets(self):
+        space = CodeSpace.enumerate(perm_config(3))
+        assert space.split(0, np.arange(0, dtype=np.int64)) == []
+
     def test_minimax_scores_are_largest_buckets(self):
         space = CodeSpace.enumerate(bw_config(3, 3))
         indices = np.arange(1, space.size, 3, dtype=np.int64)

@@ -4,7 +4,6 @@ import pytest
 
 from querymind.codespace import CodeSpace, Feedback, FeedbackMode, VariantConfig, feedback
 from querymind.engine import (
-    CONTRADICTION,
     DETERMINED,
     EXHAUSTED,
     adversary_feedback,

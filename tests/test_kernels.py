@@ -58,3 +58,20 @@ def test_fid_table_matches_scalar_feedback():
             assert table[i, j] == space.fid_of(feedback(q, h, cfg))
             fb = space.feedback_of_fid(int(table[i, j]))
             assert fb == feedback(q, h, cfg)
+
+
+def test_black_white_table_built_in_one_array():
+    # the black+white ids are packed into the black-count array in place:
+    # a second size**2 array would put the peak above twice the table
+    space = CodeSpace.enumerate(VariantConfig(5, 5))
+    tracemalloc.start()
+    try:
+        table = space.fid_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.nbytes
+    for i in (0, 1234, space.size - 1):
+        q = space.decode(i)
+        for j in (0, 777, space.size - 1):
+            assert table[i, j] == space.fid_of(feedback(q, space.decode(j), space.config))

@@ -15,21 +15,18 @@ from querymind.codespace import (
     feedback,
 )
 from querymind.combinatorics import bucket_size
-from querymind.errors import ContradictionError, DomainError, ProtocolError
+from querymind.engine import worst_case_queries
+from querymind.errors import DomainError, ProtocolError
 from querymind.strategies import (
-    Decoded,
     SolutionSet,
     _RationalBasis,
-    basis_next,
-    decode_candidates,
     filter_consistent,
     get_strategy,
     minimax_next,
     minimax_score,
-    replay,
 )
 
-from conftest import black, perm_config
+from conftest import perm_config
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +64,19 @@ class TestFilterConsistent:
                 for w in range(4 - b):
                     total += len(filter_consistent(s, q, Feedback(b, w)))
             assert total == len(s)
+
+    def test_empty_set_stays_empty(self, perm3):
+        cfg, space = perm3
+        kept = filter_consistent(SolutionSet(space, []), (1, 2, 3), Feedback(1))
+        assert len(kept) == 0
+
+    def test_contradictory_transcript_is_empty(self, perm3):
+        cfg, space = perm3
+        s = SolutionSet.full(space)
+        turns = [((1, 2, 3), Feedback(3)), ((1, 3, 2), Feedback(3)), ((2, 1, 3), Feedback(0))]
+        for q, r in turns:
+            s = filter_consistent(s, q, r)
+        assert len(s) == 0
 
     def test_bucket_bounded_by_closed_form(self, perm3):
         cfg, space = perm3
@@ -137,112 +147,62 @@ class TestMinimax:
             minimax_next(SolutionSet(space, [2]), cfg)
 
 
+def _rank(codes, cfg) -> int:
+    return int(np.linalg.matrix_rank(np.array([encode01(c, cfg) for c in codes], dtype=float)))
+
+
 class TestRationalBasis:
     def test_rank_of_valid_queries_n2_k2(self):
         cfg = VariantConfig(2, 2, feedback=FeedbackMode.BLACK_ONLY)
         space = CodeSpace.enumerate(cfg)
         basis = _RationalBasis(4)
-        for c in space:
-            basis.add(encode01(c, cfg), 0)
+        added = [basis.add(encode01(c, cfg)) for c in space]
+        assert added == [True, True, True, False]  # (2,2) = (1,2) + (2,1) - (1,1)
         assert basis.rank == 3
 
-    def test_dependent_vector_with_consistent_response(self):
+    def test_dependent_vector_is_not_added(self):
         cfg = VariantConfig(2, 2, feedback=FeedbackMode.BLACK_ONLY)
         basis = _RationalBasis(4)
-        basis.add(encode01((1, 1), cfg), 0)
-        assert not basis.add(encode01((1, 1), cfg), 0)
-        with pytest.raises(ContradictionError):
-            basis.add(encode01((1, 1), cfg), 2)
+        assert basis.add(encode01((1, 1), cfg))
+        assert not basis.add(encode01((1, 1), cfg))
+        assert basis.rank == 1
 
 
-class TestBasisNext:
+class TestBasisStrategy:
     def test_empty_history_first_code(self, perm3):
         cfg, space = perm3
-        assert basis_next([], space) == space.decode(0)
-
-    def test_n1_k2_decodes_after_one_query(self):
-        cfg = VariantConfig(1, 2, feedback=FeedbackMode.BLACK_ONLY)
-        space = CodeSpace.enumerate(cfg)
-        for h in space:
-            fb = feedback((1,), h, cfg)
-            out = basis_next([((1,), fb)], space)
-            assert out == Decoded(h)
+        s = SolutionSet.full(space)
+        assert get_strategy("basis").next_query([], s) == space.decode(0)
 
     def test_rank_increases_each_turn(self):
         cfg = VariantConfig(2, 3, feedback=FeedbackMode.BLACK_ONLY)
         space = CodeSpace.enumerate(cfg)
+        strategy = get_strategy("basis")
         h = (3, 2)
+        s = SolutionSet.full(space)
         history = []
-        ranks = []
-        while True:
-            out = basis_next(history, space)
-            if isinstance(out, Decoded):
-                assert out.code == h
-                break
-            history.append((out, feedback(out, h, cfg)))
-            basis = _RationalBasis(6)
-            for q, _ in history:
-                basis.add(encode01(q, cfg), 0)
-            ranks.append(basis.rank)
-        assert ranks == sorted(set(ranks))  # strictly increasing
+        while len(s) > 1:
+            q = strategy.next_query(history, s)
+            history.append((q, feedback(q, h, cfg)))
+            s = filter_consistent(s, q, history[-1][1])
+            assert _rank([q for q, _ in history], cfg) == len(history)
+        assert s.codes() == [h]
 
-    def test_at_most_rank_many_queries_n2_k2(self):
-        cfg = VariantConfig(2, 2, feedback=FeedbackMode.BLACK_ONLY)
-        space = CodeSpace.enumerate(cfg)
-        for h in space:
-            history = []
-            while True:
-                out = basis_next(history, space)
-                if isinstance(out, Decoded):
-                    assert out.code == h
-                    break
-                history.append((out, feedback(out, h, cfg)))
-            assert len(history) <= 3  # rank of the valid-query span
-
-    def test_contradictory_history(self, perm3):
-        cfg, space = perm3
-        history = [((1, 2, 3), Feedback(3)), ((1, 3, 2), Feedback(3))]
-        with pytest.raises(ContradictionError):
-            basis_next(history, space)
-
-
-class TestDecodeCandidates:
-    def test_queried_code_prediction_matches(self, perm3):
-        cfg, space = perm3
-        basis_queries = [(1, 2, 3), (2, 3, 1)]
-        h = (3, 1, 2)
-        responses = [black(q, h) for q in basis_queries]
-        pred_basis = _RationalBasis(9)
-        for q, r in zip(basis_queries, responses):
-            pred_basis.add(encode01(q, cfg), r)
-        for q, r in zip(basis_queries, responses):
-            assert pred_basis.predict(encode01(q, cfg)) == r
-
-    def test_elimination_n1_k3(self):
-        cfg = VariantConfig(1, 3, feedback=FeedbackMode.BLACK_ONLY)
-        space = CodeSpace.enumerate(cfg)
-        assert decode_candidates([(1,), (2,)], [0, 0], space) == (3,)
-
-    def test_perm3_all_queries_decode_every_hidden(self, perm3):
-        cfg, space = perm3
-        queries = list(space)
-        for h in space:
-            responses = [black(q, h) for q in queries]
-            assert decode_candidates(queries, responses, space) == h
-
-    def test_black_white_space_filters_on_black_pegs(self):
-        # responses are black counts; the space's table packs white pegs too
-        cfg = VariantConfig(2, 3)
-        space = CodeSpace.enumerate(cfg)
-        queries = [(1, 2), (2, 3), (3, 1)]
-        for h in space:
-            responses = [black(q, h) for q in queries]
-            consistent = [
-                c for c in space
-                if all(black(q, c) == r for q, r in zip(queries, responses))
-            ]
-            if len(consistent) == 1:
-                assert decode_candidates(queries, responses, space) == h
+    @pytest.mark.parametrize(
+        "cfg,rank",
+        [
+            (VariantConfig(1, 2, feedback=FeedbackMode.BLACK_ONLY), 2),
+            (VariantConfig(2, 2, feedback=FeedbackMode.BLACK_ONLY), 3),
+            (perm_config(3), 5),
+        ],
+        ids=["1-2-b", "2-2-b", "perm3"],
+    )
+    def test_worst_case_within_rank(self, cfg, rank):
+        # filtering isolates every code once the queries span: at most rank turns
+        assert _rank(list(CodeSpace.enumerate(cfg)), cfg) == rank
+        result = worst_case_queries(get_strategy("basis"), cfg, threads=1)
+        assert result.exhausted == []
+        assert result.max_queries <= rank
 
 
 class TestStrategyInterface:
@@ -265,18 +225,23 @@ class TestStrategyInterface:
             assert a == b
 
     def test_basis_follows_its_own_query_sequence(self, perm3):
+        # reference: the lexicographically first code that raises the rank
+        # (numpy's float rank is exact for 0/1 matrices of 9 columns)
         cfg, space = perm3
         s = SolutionSet.full(space)
         strategy = get_strategy("basis")
-        h = space.decode(space.size - 1)
+        expected = []
+        for c in space:
+            if _rank(expected + [c], cfg) > len(expected):
+                expected.append(c)
+        assert len(expected) == 5  # (n-1)^2 + 1
         history = []
-        while not isinstance(expected := basis_next(history, space), Decoded):
+        for want in expected:
             q = strategy.next_query(history, s)
-            assert q == expected
-            history.append((q, feedback(q, h, cfg)))
-        assert len(history) >= 2
+            assert q == want
+            history.append((q, Feedback(0)))
         # an earlier prefix is answered from the same list
-        assert strategy.next_query(history[:1], s) == history[1][0]
+        assert strategy.next_query(history[:1], s) == expected[1]
 
     def test_basis_rejects_history_off_its_sequence(self, perm3):
         cfg, space = perm3
@@ -287,14 +252,3 @@ class TestStrategyInterface:
         assert other != first
         with pytest.raises(ProtocolError):
             strategy.next_query([(other, Feedback(0))], s)
-
-    def test_replay_matches_incremental_filter(self, perm3):
-        cfg, space = perm3
-        h = (2, 3, 1)
-        turns = []
-        s = SolutionSet.full(space)
-        for q in [(1, 2, 3), (1, 3, 2)]:
-            r = feedback(q, h, cfg)
-            s = filter_consistent(s, q, r)
-            turns.append((q, r))
-        assert replay(space, turns).codes() == s.codes()
