@@ -11,28 +11,20 @@ import numpy as np
 # read by perfbench/envinfo.py for its environment record
 USING_NUMBA = False
 
-_CHUNK = 256  # query rows per broadcast chunk, bounds peak memory
+_CHUNK = 256  # query rows per matrix product, bounds peak memory
 CHUNK_CELLS = 1 << 18  # table cells per max_bucket_sizes chunk
 
 
-def black_counts(queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Black-peg counts for every (query, code) pair; shape (Q, H) int16."""
-    q_rows = queries.shape[0]
-    out = np.empty((q_rows, codes.shape[0]), dtype=np.int16)
-    for lo in range(0, q_rows, _CHUNK):
-        hi = min(lo + _CHUNK, q_rows)
-        eq = queries[lo:hi, None, :] == codes[None, :, :]
-        out[lo:hi] = eq.sum(axis=2, dtype=np.int16)
-    return out
-
-
-def _color_counts(codes: np.ndarray, k: int) -> np.ndarray:
-    """Per-code histogram of colors 1..k; shape (H, k) int16."""
+def _features(codes: np.ndarray, k: int, black_white: bool, scale: int) -> np.ndarray:
+    """Rows [scale * E | T] (or E alone) as float32: E is the one-hot n*k
+    encoding of encode01, T the k*n thresholds [count_c >= t], t = 1..n."""
     rows, n = codes.shape
-    counts = np.zeros((rows, k), dtype=np.int16)
-    for c in range(1, k + 1):
-        counts[:, c - 1] = (codes == c).sum(axis=1, dtype=np.int16)
-    return counts
+    onehot = codes[:, :, None] == np.arange(1, k + 1)
+    e = onehot.reshape(rows, n * k)
+    if not black_white:
+        return e.astype(np.float32)
+    above = onehot.sum(axis=1)[:, :, None] >= np.arange(1, n + 1)
+    return np.hstack([np.float32(scale) * e, above.reshape(rows, k * n)], dtype=np.float32)
 
 
 def feedback_ids(
@@ -40,22 +32,23 @@ def feedback_ids(
 ) -> np.ndarray:
     """Packed feedback ids for every (query, code) pair; shape (Q, H) int16.
 
-    The black counts are packed in place, one chunk at a time, using
-    black * (n+1) + (matched - black) = black * n + matched.
+    One float32 matrix product per block of query rows. E(q)·E(x) is the
+    black count, and T(q)·T(x) = sum_c min(count_c(q), count_c(x)) is the
+    matched count, since min(a, b) = sum_t [a >= t][b >= t]; so
+    [n*E | T](q)·[E | T](x) = n*black + matched = black*(n+1) + white.
+    The product is exact: every term and partial sum is a non-negative
+    integer no larger than the final id, and ids stay below 2**15
+    (CodeSpace.fid_table checks this), far below float32's 2**24, so no
+    summation order or BLAS thread count can round.
     """
-    n = queries.shape[1]
-    out = black_counts(queries, codes)
-    if not black_white:
-        return out
-    qc = _color_counts(queries, k)
-    hc = _color_counts(codes, k)
-    for lo in range(0, queries.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, queries.shape[0])
-        matched = np.minimum(qc[lo:hi, None, :], hc[None, :, :]).sum(
-            axis=2, dtype=np.int16
-        )
-        out[lo:hi] *= np.int16(n)
-        out[lo:hi] += matched
+    a = _features(queries, k, black_white, queries.shape[1])
+    b = _features(codes, k, black_white, 1).T
+    out = np.empty((len(a), len(codes)), dtype=np.int16)
+    buf = np.empty((min(_CHUNK, len(a)), len(codes)), dtype=np.float32)
+    for lo in range(0, len(a), _CHUNK):
+        block = buf[: len(a) - lo]
+        np.matmul(a[lo : lo + _CHUNK], b, out=block)
+        out[lo : lo + len(block)] = block
     return out
 
 

@@ -341,7 +341,6 @@ def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
         config,
         s_cap=args.s_cap,
         space_budget=_space_budget(args, 100_000),
-        space=CodeSpace.enumerate(config),
     )
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -240,9 +240,15 @@ class CodeSpace:
         """(size, size) table of packed feedback ids, row = query index.
 
         Raises CapacityError, before allocating, if the table alone would
-        not fit in the machine's physical memory.
+        not fit in the machine's physical memory, or if packed ids would not
+        fit int16 (only k = 1 spaces with n >= 181 black+white, or n >= 32768
+        black-only, get there); that limit also keeps the kernel exact.
         """
         if self._fid_table is None:
+            if self.n_fids > 2**15:
+                raise CapacityError(
+                    f"{self.n_fids} packed feedback ids do not fit the int16 table"
+                )
             nbytes = self.size * self.size * np.dtype(np.int16).itemsize
             physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
             if nbytes > physical:
@@ -278,6 +284,8 @@ class CodeSpace:
     def minimax_scores(self, indices: np.ndarray) -> np.ndarray:
         """Largest response bucket over the codes at indices, for every
         query (by index); shape (size,) int64."""
+        if len(indices) == 0:
+            return np.zeros(self.size, dtype=np.int64)
         table = self.fid_table()
         # gather the columns a block of rows at a time: a copy of the whole
         # (size, len(indices)) slice would be the largest allocation of a game

@@ -207,12 +207,12 @@ def worst_case_queries(
     so the sweep walks that tree once instead of replaying each code;
     the per-code counts are identical to honest play.
     """
+    if config.space_size > space_budget:
+        raise CapacityError(
+            f"space size {config.space_size} exceeds sweep budget {space_budget}"
+        )
     if space is None:
         space = CodeSpace.enumerate(config)
-    if space.size > space_budget:
-        raise CapacityError(
-            f"space size {space.size} exceeds sweep budget {space_budget}"
-        )
     budget = default_turn_budget(config) if turn_budget is None else turn_budget
     per_code = np.full(space.size, -1, dtype=np.int64)
     per_code_win = np.full(space.size, -1, dtype=np.int64)
@@ -297,12 +297,12 @@ def exact_game_value(
     tuple of S with best-so-far pruning and an information-theoretic
     depth floor; queries are explored in lexicographic order.
     """
+    if config.space_size > space_budget:
+        raise CapacityError(
+            f"space size {config.space_size} exceeds exact-solver budget {space_budget}"
+        )
     if space is None:
         space = CodeSpace.enumerate(config)
-    if space.size > space_budget:
-        raise CapacityError(
-            f"space size {space.size} exceeds exact-solver budget {space_budget}"
-        )
     cap = default_turn_budget(config) if depth_cap is None else depth_cap
     n_fids = space.n_fids
     exact: dict[bytes, int] = {}

@@ -106,7 +106,7 @@ def _response_matrix(
     if not queries:
         return np.zeros((0, space.size), dtype=np.int16)
     qarr = np.array(queries, dtype=np.int16)
-    return _kernels.black_counts(qarr, space.codes)
+    return _kernels.feedback_ids(qarr, space.codes, space.config.k, False)
 
 
 def _entropy_lb_or_none(config: VariantConfig) -> Optional[int]:
@@ -180,12 +180,12 @@ def min_nonadaptive_size(
     Subsets are explored by size, then lexicographically by query indices,
     so the reported witness set is reproducible. Intended for tiny spaces.
     """
+    if config.space_size > space_budget:
+        raise CapacityError(
+            f"space size {config.space_size} exceeds search budget {space_budget}"
+        )
     if space is None:
         space = CodeSpace.enumerate(config)
-    if space.size > space_budget:
-        raise CapacityError(
-            f"space size {space.size} exceeds search budget {space_budget}"
-        )
     if space.size == 1:
         return MinSizeResult(0, False, QuerySet(config, ()))
     matrix = _response_matrix(list(space), space)
@@ -205,12 +205,12 @@ def greedy_query_set(
     """Identifiable query set built greedily: each appended query minimizes
     the number of still-unresolved code pairs, ties by lowest query index.
     """
+    if config.space_size > space_budget:
+        raise CapacityError(
+            f"space size {config.space_size} exceeds search budget {space_budget}"
+        )
     if space is None:
         space = CodeSpace.enumerate(config)
-    if space.size > space_budget:
-        raise CapacityError(
-            f"space size {space.size} exceeds search budget {space_budget}"
-        )
     if space.size == 1:
         return QuerySet(config, ())
     matrix = _response_matrix(list(space), space)

@@ -222,7 +222,7 @@ def test_criterion_8_white_peg_oracle():
                     perms = np.array(
                         sorted(set(itertools.permutations(q))), dtype=codes.dtype
                     )
-                    best = _kernels.black_counts(perms, codes).max(axis=0)
+                    best = _kernels.feedback_ids(perms, codes, config.k, False).max(axis=0)
                     for j, h in enumerate(space):
                         fb = feedback(q, h, config)
                         assert fb.black + fb.white == int(best[j]), (q, h)

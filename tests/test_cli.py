@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
 from querymind.cli import run
-from querymind.codespace import FeedbackMode, Mode, Repeats, VariantConfig
+from querymind.codespace import CodeSpace, FeedbackMode, Mode, Repeats, VariantConfig
 from querymind.nonadaptive import entropy_audit
 
 
@@ -96,6 +97,23 @@ class TestExitCodes:
         assert code == 2
         assert "capacity error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [qfile]
+
+    def test_search_checks_space_budget_before_enumerating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated an over-budget space")
+
+        monkeypatch.setattr(CodeSpace, "enumerate", refuse)
+        code = run(
+            [
+                "nonadaptive-search",
+                "--n", "5", "--k", "5",
+                "--repeats", "yes", "--feedback", "b",
+                "--space-budget", "100",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "space size 3125 exceeds search budget 100" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
@@ -333,3 +351,51 @@ class TestEntropyAudit:
             ]
         )
         assert code == 1
+
+
+# sha256 of every artifact: a speedup must leave them byte-identical. Every
+# flag is explicit because the resolved spec, --threads included, is written
+# into the artifact.
+PINNED_ARTIFACTS = {
+    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 10 --space-budget 27 --seed 0 --threads 1": {
+        "worst_case.csv": "9ca9e823a18f41677f021c128a462021ec5b7f2794bb94abc876bb1aa4a971a8",
+        "worst_case.json": "8ff0eed6ef57fff3d6f88f1b6873bccbbd938c99d2e621bf140bf23fb1bb862a",
+    },
+    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy basis --turn-budget 10 --space-budget 27 --seed 0 --threads 1": {
+        "worst_case.csv": "eda2b45243e05dec0fe8244a345ff1b260b824b40b491c8651bb6c14ebab1feb",
+        "worst_case.json": "86c509734c0f16cd125a6501d582d82fd62be303fb6a2fc4508e7eb7c92f30b9",
+    },
+    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy first-consistent --turn-budget 10 --space-budget 27 --seed 0 --threads 1": {
+        "worst_case.csv": "04aaab40201354ff6ef37ade4a1fdae0cd8cf3bedfb188f0f028c700f376563a",
+        "worst_case.json": "265446b11ffe008e15f369f65924ad26deb944930345e7aea529875348471788",
+    },
+    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 17 --space-budget 24 --seed 0 --threads 1": {
+        "worst_case.csv": "7128b584e76547b451a73b8c4bbc828a11d36cf6d0a319d7d7dfd26264929d36",
+        "worst_case.json": "31c515dfa83d1d274efc6f2209047a3ec4463a176b1fa68c0f1869cf1ef0ee32",
+    },
+    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy basis --turn-budget 17 --space-budget 24 --seed 0 --threads 1": {
+        "worst_case.csv": "cdf626fd4f4bdb8d217789ea6a7017f8e220ec0055b21d300bb7586e7d94139b",
+        "worst_case.json": "795a0d64e69a354c721d3c577f34026825ba505fd2799ea7108f36f05961fec8",
+    },
+    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy first-consistent --turn-budget 17 --space-budget 24 --seed 0 --threads 1": {
+        "worst_case.csv": "cb6dcfd284880bf882ea92809452af8ec7bdbea488e6f0961b2ffb99119d0ac6",
+        "worst_case.json": "e11d17429013b27ef57f4a0a054baf27e3398add4dfca066955defd2038a564c",
+    },
+    "adversary-trace --n 5 --k 5 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 26 --space-budget 120 --seed 0 --threads 1": {
+        "adversary_trace.csv": "2cb97c82671f0078d3c87800ecba6cbdc9d6b327d0ca8e54ab89b1ec53c9497c",
+        "adversary_trace.json": "d79bdeb4e37b8bf8638f4dede646642bfb32dfeb9fbca6c71d63b4b170f6b8a8",
+    },
+    "solve --n 4 --k 6 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 25 --space-budget 1296 --seed 1 --threads 1": {
+        "solve.json": "18e39f9f3c934fb82363104ae1158d501bcba187bc6f62b6c997f1d90cb62681",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_ARTIFACTS))
+def test_artifacts_match_pinned_digests(command, tmp_path):
+    assert run([*command.split(), "--out", str(tmp_path)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == PINNED_ARTIFACTS[command]

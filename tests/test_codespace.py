@@ -186,6 +186,28 @@ class TestSplit:
         ]
         assert space.minimax_scores(indices).tolist() == expected
 
+    def test_minimax_scores_of_empty_indices_are_zero(self):
+        space = CodeSpace.enumerate(VariantConfig(2, 2))
+        scores = space.minimax_scores(np.arange(0, dtype=np.int64))
+        assert scores.dtype == np.int64
+        assert scores.tolist() == [0] * space.size
+
+    def test_packed_ids_fit_int16_or_capacity(self):
+        # (180, 1) black+white has 181**2 ids, the most an int16 table holds
+        space = CodeSpace.enumerate(VariantConfig(180, 1))
+        assert space.fid_of(Feedback(180, 0)) == 32580
+        assert space.fid_table().tolist() == [[32580]]
+        black_only = CodeSpace.enumerate(
+            VariantConfig(32767, 1, feedback=FeedbackMode.BLACK_ONLY)
+        )
+        assert black_only.fid_table().tolist() == [[32767]]
+        for config in (
+            VariantConfig(181, 1),
+            VariantConfig(32768, 1, feedback=FeedbackMode.BLACK_ONLY),
+        ):
+            with pytest.raises(CapacityError):
+                CodeSpace.enumerate(config).fid_table()
+
     def test_table_beyond_physical_memory_is_capacity(self):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         size = math.isqrt(physical // 2) + 1  # size**2 int16 cells > physical

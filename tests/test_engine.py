@@ -15,7 +15,8 @@ from querymind.engine import (
 )
 import numpy as np
 
-from querymind.errors import DomainError, ProtocolError
+from querymind.errors import CapacityError, DomainError, ProtocolError
+from querymind.nonadaptive import greedy_query_set, min_nonadaptive_size
 from querymind.strategies import SolutionSet, Strategy, filter_consistent, get_strategy
 
 from conftest import perm_config
@@ -183,6 +184,25 @@ class TestWorstCase:
                 assert np.array_equal(got.per_code, expected.per_code)
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda cfg: worst_case_queries(get_strategy("minimax"), cfg, space_budget=100),
+        lambda cfg: exact_game_value(cfg, space_budget=100),
+        lambda cfg: min_nonadaptive_size(cfg, s_cap=2, space_budget=100),
+        lambda cfg: greedy_query_set(cfg, space_budget=100),
+    ],
+    ids=["worst_case_queries", "exact_game_value", "min_nonadaptive_size", "greedy_query_set"],
+)
+def test_space_budget_checked_before_enumerating(search, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated an over-budget space")
+
+    monkeypatch.setattr(CodeSpace, "enumerate", refuse)
+    with pytest.raises(CapacityError, match="space size 3125 exceeds"):
+        search(VariantConfig(5, 5, feedback=FeedbackMode.BLACK_ONLY))
 
 
 class TestExactGameValue:

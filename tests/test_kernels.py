@@ -11,17 +11,20 @@ def _random_codes(rng, rows, n, k):
     return rng.integers(1, k + 1, size=(rows, n)).astype(np.int16)
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (4, 6), (5, 3)])
-def test_black_counts_match_scalar(n, k):
+@pytest.mark.parametrize("feedback_mode", list(FeedbackMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (4, 6), (5, 3), (2, 7)])
+def test_feedback_ids_match_scalar(n, k, feedback_mode):
     rng = np.random.default_rng(11)
     q = _random_codes(rng, 40, n, k)
     h = _random_codes(rng, 40, n, k)
-    out = _kernels.black_counts(q, h)
-    cfg = VariantConfig(n, k, feedback=FeedbackMode.BLACK_ONLY)
-    for i in range(5):
-        for j in range(5):
-            expected = feedback(tuple(map(int, q[i])), tuple(map(int, h[j])), cfg)
-            assert out[i, j] == expected.black
+    black_white = feedback_mode is FeedbackMode.BLACK_WHITE
+    out = _kernels.feedback_ids(q, h, k, black_white)
+    assert out.shape == (40, 40) and out.dtype == np.int16
+    cfg = VariantConfig(n, k, feedback=feedback_mode)
+    for i in range(40):
+        for j in range(40):
+            fb = feedback(tuple(map(int, q[i])), tuple(map(int, h[j])), cfg)
+            assert out[i, j] == (fb.black * (n + 1) + fb.white if black_white else fb.black)
 
 
 def test_max_bucket_sizes_against_counter():
@@ -49,8 +52,16 @@ def test_max_bucket_sizes_memory_bounded_by_cells():
         assert out[i] == np.bincount(fids[i], minlength=8).max()
 
 
-def test_fid_table_matches_scalar_feedback():
-    cfg = VariantConfig(3, 3, repeats=Repeats.FORBIDDEN)
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        VariantConfig(4, 4, feedback=FeedbackMode.BLACK_ONLY, repeats=Repeats.FORBIDDEN),
+        VariantConfig(2, 4),
+        VariantConfig(3, 3, repeats=Repeats.FORBIDDEN),
+    ],
+    ids=["perm4-b", "2-4-bw", "3-3-norep-bw"],
+)
+def test_fid_table_matches_scalar_feedback(cfg):
     space = CodeSpace.enumerate(cfg)
     table = space.fid_table()
     for i, q in enumerate(space):
