@@ -50,7 +50,6 @@ from .nonadaptive import (
     greedy_query_set,
     is_identifiable,
     min_nonadaptive_size,
-    response_vector,
 )
 from .strategies import (
     SolutionSet,
@@ -58,7 +57,6 @@ from .strategies import (
     filter_consistent,
     get_strategy,
     minimax_next,
-    minimax_score,
 )
 
 __version__ = "0.1.0"

@@ -175,8 +175,13 @@ def _resolved_spec(args: argparse.Namespace) -> dict:
     return spec
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_result(
+    out: Path, stem: str, args: argparse.Namespace, key: str, body: dict
+) -> None:
+    """Write out/<stem>.json: the schema version, the resolved spec and body."""
+    payload = {"schema_version": SCHEMA_VERSION, "spec": _resolved_spec(args), key: body}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    (out / f"{stem}.json").write_text(text)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -201,12 +206,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
     transcript = engine.play_honest(
         strategy, hidden, config, turn_budget=args.turn_budget, space=space
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _resolved_spec(args),
-        "transcript": transcript.to_json(),
-    }
-    _write_json(out / "solve.json", payload)
+    _write_result(out, "solve", args, "transcript", transcript.to_json())
     print(
         f"solve: {transcript.outcome} in {len(transcript.turns)} turns"
         + (
@@ -228,12 +228,7 @@ def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
         turn_budget=args.turn_budget,
         threads=args.threads,
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _resolved_spec(args),
-        "result": result.to_json(),
-    }
-    _write_json(out / "worst_case.json", payload)
+    _write_result(out, "worst_case", args, "result", result.to_json())
     _write_csv(
         out / "worst_case.csv",
         ["queries", "count"],
@@ -261,12 +256,7 @@ def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
         depth_cap=args.turn_budget,
         space_budget=_space_budget(args, engine.DEFAULT_EXACT_BUDGET),
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _resolved_spec(args),
-        "result": result.to_json(),
-    }
-    _write_json(out / "exact_value.json", payload)
+    _write_result(out, "exact_value", args, "result", result.to_json())
     capped = " (depth cap reached)" if result.capped else ""
     print(f"exact-value: f = {result.value}{capped}")
     return EXIT_OK
@@ -280,12 +270,7 @@ def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
             f"k**n for n={args.n}, k={args.k} has more than {digit_limit} digits"
         )
     report = bound_report(args.n, args.k, log_base=args.log_base)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _resolved_spec(args),
-        "report": report.to_json(),
-    }
-    _write_json(out / "bounds.json", payload)
+    _write_result(out, "bounds", args, "report", report.to_json())
     print(
         f"bounds: n={args.n} k={args.k} trivial_lb={report.trivial_lb} "
         f"entropy_lb={report.entropy_lb}"
@@ -300,12 +285,7 @@ def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
     transcript = engine.play_adversarial(
         strategy, config, turn_budget=args.turn_budget, space=space
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _resolved_spec(args),
-        "transcript": transcript.to_json(),
-    }
-    _write_json(out / "adversary_trace.json", payload)
+    _write_result(out, "adversary_trace", args, "transcript", transcript.to_json())
     _write_csv(
         out / "adversary_trace.csv",
         ["t", "solution_set_size"],
@@ -326,12 +306,7 @@ def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
         space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
         qs = nonadaptive.QuerySet.from_file(args.queries_file, config)
         report = nonadaptive.is_identifiable(qs, space=space)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "spec": _resolved_spec(args),
-            "report": report.to_json(),
-        }
-        _write_json(out / "nonadaptive_check.json", payload)
+        _write_result(out, "nonadaptive_check", args, "report", report.to_json())
         print(
             f"nonadaptive-search: file set of size {qs.size} "
             f"identifiable={report.identifiable}"
@@ -342,12 +317,7 @@ def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
         s_cap=args.s_cap,
         space_budget=_space_budget(args, 100_000),
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _resolved_spec(args),
-        "result": result.to_json(),
-    }
-    _write_json(out / "nonadaptive_search.json", payload)
+    _write_result(out, "nonadaptive_search", args, "result", result.to_json())
     if result.query_set is not None:
         result.query_set.to_file(
             str(out / "nonadaptive_search.queries"),
@@ -369,16 +339,8 @@ def _cmd_entropy_audit(args: argparse.Namespace, out: Path) -> int:
     else:
         query = (1,) * config.n
     value = nonadaptive.entropy_audit(config, query)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "spec": _resolved_spec(args),
-        "result": {
-            "query": format_code(query),
-            "entropy_bits": value,
-            "below_constant_3": value < 3,
-        },
-    }
-    _write_json(out / "entropy_audit.json", payload)
+    body = {"query": format_code(query), "entropy_bits": value, "below_constant_3": value < 3}
+    _write_result(out, "entropy_audit", args, "result", body)
     print(f"entropy-audit: H = {value:.6f} bits (< 3: {value < 3})")
     return EXIT_OK
 

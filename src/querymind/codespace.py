@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class VariantConfig:
         if self.repeats is Repeats.ALLOWED:
             return self.k**self.n
         return math.factorial(self.k) // math.factorial(self.k - self.n)
-
-    @property
-    def is_permutation_game(self) -> bool:
-        return self.repeats is Repeats.FORBIDDEN and self.k == self.n
 
     def to_json(self) -> dict:
         return {
@@ -182,6 +178,8 @@ class CodeSpace:
             raise CapacityError(
                 f"code space of size {size} exceeds enumeration budget {budget}"
             )
+        if config.k > np.iinfo(np.int16).max:
+            raise CapacityError(f"{config.k} colors do not fit the int16 code array")
         colors = range(1, config.k + 1)
         if config.repeats is Repeats.ALLOWED:
             it: Iterator[Code] = itertools.product(colors, repeat=config.n)
@@ -236,6 +234,19 @@ class CodeSpace:
     def _feedbacks(self) -> list[Feedback]:
         return [self.feedback_of_fid(fid) for fid in range(self.n_fids)]
 
+    def _check_table(self, rows: int, n_ids: int) -> None:
+        """Raise CapacityError unless n_ids ids fit int16 and a (rows, size)
+        int16 table fits in physical memory."""
+        if n_ids > 2**15:
+            raise CapacityError(f"{n_ids} feedback ids do not fit an int16 table")
+        nbytes = rows * self.size * np.dtype(np.int16).itemsize
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if nbytes > physical:
+            raise CapacityError(
+                f"feedback table of {nbytes} bytes exceeds physical memory "
+                f"of {physical} bytes"
+            )
+
     def fid_table(self) -> np.ndarray:
         """(size, size) table of packed feedback ids, row = query index.
 
@@ -245,17 +256,7 @@ class CodeSpace:
         black-only, get there); that limit also keeps the kernel exact.
         """
         if self._fid_table is None:
-            if self.n_fids > 2**15:
-                raise CapacityError(
-                    f"{self.n_fids} packed feedback ids do not fit the int16 table"
-                )
-            nbytes = self.size * self.size * np.dtype(np.int16).itemsize
-            physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-            if nbytes > physical:
-                raise CapacityError(
-                    f"feedback table of {nbytes} bytes exceeds physical memory "
-                    f"of {physical} bytes"
-                )
+            self._check_table(self.size, self.n_fids)
             self._fid_table = _kernels.feedback_ids(
                 self.codes,
                 self.codes,
@@ -263,6 +264,15 @@ class CodeSpace:
                 self.config.feedback is FeedbackMode.BLACK_WHITE,
             )
         return self._fid_table
+
+    def black_rows(self, qis: Sequence[int]) -> np.ndarray:
+        """Black-peg counts of the queries at indices qis against every code,
+        in either feedback mode; shape (len(qis), size) int16.
+
+        Raises CapacityError, before allocating, as fid_table does.
+        """
+        self._check_table(len(qis), self.config.n + 1)
+        return _kernels.feedback_ids(self.codes[qis], self.codes, self.config.k, False)
 
     def split(self, qi: int, indices: np.ndarray) -> list[tuple[Feedback, np.ndarray]]:
         """Non-empty response buckets of query index qi over the codes at

@@ -82,21 +82,27 @@ def lemma2_bound(n: int, c: int, t: int) -> Fraction:
     return num / math.factorial(c + t)
 
 
-def trivial_lower_bound(n: int) -> int:
-    """Smallest t with n^t >= n!, i.e. ceil(log_n(n!)); 0 for n = 1.
+def ceil_log(base: int, m: int) -> int:
+    """Smallest t >= 0 with base**t >= m, i.e. ceil(log_base(m)) for m >= 1.
 
     Compared in exact integers so the ceiling never suffers float rounding.
     """
+    if base < 2:
+        raise DomainError(f"base must be >= 2, got {base}")
+    t, power = 0, 1
+    while power < m:
+        power *= base
+        t += 1
+    return t
+
+
+def trivial_lower_bound(n: int) -> int:
+    """Smallest t with n^t >= n!, i.e. ceil(log_n(n!)); 0 for n = 1."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if n == 1:
         return 0
-    target = math.factorial(n)
-    t, power = 0, 1
-    while power < target:
-        power *= n
-        t += 1
-    return t
+    return ceil_log(n, math.factorial(n))
 
 
 @dataclass(frozen=True)
@@ -164,12 +170,7 @@ def entropy_lower_bound(n: int, k: int) -> int:
     """ceil((1/3) * log2(k!/(k-n)!)) via exact comparison against powers of 2."""
     if n < 1 or k < n:
         raise DomainError(f"need k >= n >= 1, got n={n}, k={k}")
-    target = math.factorial(k) // math.factorial(k - n)
-    s, power = 0, 1  # power = 8^s = 2^(3s)
-    while power < target:
-        power *= 8
-        s += 1
-    return s
+    return ceil_log(8, math.factorial(k) // math.factorial(k - n))  # 8 = 2^3
 
 
 def exact_match_count(n: int, k: int, x: int) -> int:

@@ -21,6 +21,7 @@ from .codespace import (
     feedback,
     validate_code,
 )
+from .combinatorics import ceil_log
 from .errors import CapacityError, DomainError, ProtocolError
 from .strategies import (
     MinimaxStrategy,
@@ -308,19 +309,12 @@ def exact_game_value(
     exact: dict[bytes, int] = {}
     proven_above: dict[bytes, int] = {}  # key -> largest cap known insufficient
 
-    def floor_depth(m: int) -> int:
-        # each query has at most n_fids distinct responses
-        t, reach = 0, 1
-        while reach < m:
-            reach *= n_fids
-            t += 1
-        return t
-
     def solve(indices: np.ndarray, budget: int) -> int:
         """Exact value if <= budget, else budget + 1."""
         if indices.size == 1:
             return 0
-        lo = floor_depth(int(indices.size))
+        # each query has at most n_fids distinct responses
+        lo = ceil_log(n_fids, int(indices.size))
         if lo > budget:
             return budget + 1
         key = indices.tobytes()

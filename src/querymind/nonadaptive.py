@@ -6,16 +6,11 @@ analysis are out of scope.
 """
 from __future__ import annotations
 
-import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .codespace import (
     Code,
     CodeSpace,
@@ -93,20 +88,10 @@ class IdentifiabilityReport:
         }
 
 
-def response_vector(qs: QuerySet, h: Code) -> list[int]:
-    """Black-peg counts of h against each query, in query order."""
-    validate_code(h, qs.config)
-    return [sum(1 for a, b in zip(q, h) if a == b) for q in qs.queries]
-
-
-def _response_matrix(
-    queries: Sequence[Code], space: CodeSpace
-) -> np.ndarray:
-    """(s, size) black-peg counts of every query against every code."""
-    if not queries:
-        return np.zeros((0, space.size), dtype=np.int16)
-    qarr = np.array(queries, dtype=np.int16)
-    return _kernels.feedback_ids(qarr, space.codes, space.config.k, False)
+def _refine(labels: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
+    """Dense class labels after one more query: two codes share a class iff
+    they shared one before and the query's black-peg row agrees on them."""
+    return np.unique(labels * (n + 1) + row, return_inverse=True)[1]
 
 
 def _entropy_lb_or_none(config: VariantConfig) -> Optional[int]:
@@ -126,29 +111,23 @@ def is_identifiable(
     """
     if space is None:
         space = CodeSpace.enumerate(qs.config, budget)
-    matrix = _response_matrix(qs.queries, space)
-    entropy_lb = _entropy_lb_or_none(qs.config)
-    seen: dict[bytes, int] = {}
+    labels = np.zeros(space.size, dtype=np.int64)
+    for row in space.black_rows([space.encode(q) for q in qs.queries]):
+        labels = _refine(labels, row, qs.config.n)
+    first = np.unique(labels, return_index=True)[1][labels]  # first of each class
+    repeated = np.flatnonzero(first != np.arange(space.size))
     witness = None
-    for j in range(space.size):
-        key = matrix[:, j].tobytes()
-        if key in seen and witness is None:
-            witness = (space.decode(seen[key]), space.decode(j))
-            break
-        seen.setdefault(key, j)
-    identifiable = witness is None
+    if repeated.size:
+        j = int(repeated[0])
+        witness = (space.decode(int(first[j])), space.decode(j))
+    entropy_lb = _entropy_lb_or_none(qs.config)
     return IdentifiabilityReport(
-        identifiable=identifiable,
+        identifiable=witness is None,
         witness=witness,
         s=qs.size,
         entropy_lb=entropy_lb,
         gap=None if entropy_lb is None else qs.size - entropy_lb,
     )
-
-
-def _is_injective(matrix: np.ndarray, rows: Sequence[int]) -> bool:
-    cols = matrix[list(rows)] if rows else np.zeros((0, matrix.shape[1]), np.int16)
-    return len({cols[:, j].tobytes() for j in range(matrix.shape[1])}) == matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -179,6 +158,8 @@ def min_nonadaptive_size(
 
     Subsets are explored by size, then lexicographically by query indices,
     so the reported witness set is reproducible. Intended for tiny spaces.
+    The walk is depth-first: each node refines its prefix's response
+    classes by one query, so a leaf costs one bincount.
     """
     if config.space_size > space_budget:
         raise CapacityError(
@@ -188,12 +169,31 @@ def min_nonadaptive_size(
         space = CodeSpace.enumerate(config)
     if space.size == 1:
         return MinSizeResult(0, False, QuerySet(config, ()))
-    matrix = _response_matrix(list(space), space)
+    rows = space.black_rows(np.arange(space.size))
+    n, size = config.n, space.size
+
+    def walk(chosen: list[int], labels: np.ndarray, left: int) -> Optional[list[int]]:
+        """First identifiable extension of chosen by left queries of higher
+        index, in the order of itertools.combinations; labels are chosen's
+        classes."""
+        start = chosen[-1] + 1 if chosen else 0
+        if left == 1:
+            keys = labels * (n + 1)
+            for qi in range(start, size):
+                if np.bincount(keys + rows[qi]).max() == 1:
+                    return [*chosen, qi]
+            return None
+        for qi in range(start, size - left + 1):
+            found = walk([*chosen, qi], _refine(labels, rows[qi], n), left - 1)
+            if found is not None:
+                return found
+        return None
+
     for s in range(1, s_cap + 1):
-        for rows in itertools.combinations(range(space.size), s):
-            if _is_injective(matrix, rows):
-                queries = tuple(space.decode(i) for i in rows)
-                return MinSizeResult(s, False, QuerySet(config, queries))
+        found = walk([], np.zeros(size, dtype=np.int64), s)
+        if found is not None:
+            queries = tuple(space.decode(i) for i in found)
+            return MinSizeResult(s, False, QuerySet(config, queries))
     return MinSizeResult(None, True, None)
 
 
@@ -213,25 +213,20 @@ def greedy_query_set(
         space = CodeSpace.enumerate(config)
     if space.size == 1:
         return QuerySet(config, ())
-    matrix = _response_matrix(list(space), space)
+    rows = space.black_rows(np.arange(space.size))
     # group labels of codes by their response prefix so far
     labels = np.zeros(space.size, dtype=np.int64)
     chosen: list[int] = []
 
     def unresolved(lab: np.ndarray) -> int:
-        _, counts = np.unique(lab, return_counts=True)
+        counts = np.bincount(lab)
         return int((counts * (counts - 1) // 2).sum())
 
     while unresolved(labels) > 0:
-        best_q, best_pairs, best_labels = -1, None, None
-        for qi in range(space.size):
-            refined = labels * (config.n + 1) + matrix[qi]
-            pairs = unresolved(refined)
-            if best_pairs is None or pairs < best_pairs:
-                best_q, best_pairs, best_labels = qi, pairs, refined
-        # relabel densely to keep values bounded
-        _, labels = np.unique(best_labels, return_inverse=True)
-        chosen.append(best_q)
+        pairs = [unresolved(_refine(labels, row, config.n)) for row in rows]
+        best = int(np.argmin(pairs))  # ties go to the lowest query index
+        labels = _refine(labels, rows[best], config.n)
+        chosen.append(best)
     return QuerySet(config, tuple(space.decode(i) for i in chosen))
 
 
@@ -246,22 +241,3 @@ def entropy_audit(config: VariantConfig, q: Code) -> float:
         raise DomainError("entropy audit applies to repeats-forbidden configs only")
     validate_code(q, config)
     return shannon_entropy(match_distribution(config.n, config.k))
-
-
-def joint_response_distribution(
-    qs: QuerySet, space: Optional[CodeSpace] = None
-) -> Counter:
-    """Exact empirical distribution of whole response vectors over the space."""
-    if space is None:
-        space = CodeSpace.enumerate(qs.config)
-    matrix = _response_matrix(qs.queries, space)
-    return Counter(tuple(int(x) for x in matrix[:, j]) for j in range(space.size))
-
-
-def joint_response_entropy(qs: QuerySet, space: Optional[CodeSpace] = None) -> float:
-    """Entropy in bits of the joint response vector under a uniform hidden code."""
-    if space is None:
-        space = CodeSpace.enumerate(qs.config)
-    dist = joint_response_distribution(qs, space)
-    probs = [Fraction(c, space.size) for c in dist.values()]
-    return shannon_entropy(probs)

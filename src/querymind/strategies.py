@@ -60,13 +60,6 @@ def filter_consistent(s: SolutionSet, q: Code, r: Feedback) -> SolutionSet:
     return SolutionSet(space, s.indices[:0])
 
 
-def minimax_score(q: Code, s: SolutionSet, config: VariantConfig) -> int:
-    """Largest response-bucket size that query q can leave behind."""
-    if len(s) < 1:
-        raise DomainError("solution set must be nonempty")
-    space = s.space
-    return max(len(bucket) for _, bucket in space.split(space.encode(q), s.indices))
-
 def minimax_next(s: SolutionSet, config: VariantConfig) -> Code:
     """Minimum-score query; ties prefer members of s, then lowest index."""
     if len(s) < 2:

@@ -115,6 +115,28 @@ class TestExitCodes:
         assert code == 2
         assert "space size 3125 exceeds search budget 100" in capsys.readouterr().err
 
+    def test_search_table_beyond_physical_memory_is_capacity(self, tmp_path, capsys):
+        # 8**6 = 262144 codes: the black-count rows of every query need 137 GB
+        code = run(
+            [
+                "nonadaptive-search",
+                "--n", "6", "--k", "8",
+                "--repeats", "yes", "--feedback", "b",
+                "--space-budget", "300000",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "capacity error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_colors_beyond_int16_is_capacity(self, tmp_path, capsys):
+        code = run(
+            ["solve", "--n", "1", "--k", "40000", "--hidden", "40000", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "capacity error" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

@@ -8,6 +8,7 @@ from querymind.combinatorics import (
     bound_report,
     bucket_size,
     bucket_tail_sum,
+    ceil_log,
     derangement,
     entropy_lower_bound,
     exact_match_count,
@@ -123,6 +124,21 @@ class TestLemma2Bound:
             lemma2_bound(5, 5, 0)
         with pytest.raises(DomainError):
             lemma2_bound(5, 2, 4)
+
+
+class TestCeilLog:
+    def test_matches_brute_force(self):
+        for base in range(2, 8):
+            for m in range(1, 400):
+                t = next(t for t in itertools.count() if base**t >= m)
+                assert ceil_log(base, m) == t
+            for t in range(6):  # exact powers, and one past them
+                assert ceil_log(base, base**t) == t
+                assert ceil_log(base, base**t + 1) == t + 1
+
+    def test_rejects_base_below_two(self):
+        with pytest.raises(DomainError):
+            ceil_log(1, 5)
 
 
 class TestTrivialLowerBound:

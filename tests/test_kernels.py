@@ -64,11 +64,13 @@ def test_max_bucket_sizes_memory_bounded_by_cells():
 def test_fid_table_matches_scalar_feedback(cfg):
     space = CodeSpace.enumerate(cfg)
     table = space.fid_table()
+    blacks = space.black_rows(np.arange(space.size))
     for i, q in enumerate(space):
         for j, h in enumerate(space):
             assert table[i, j] == space.fid_of(feedback(q, h, cfg))
             fb = space.feedback_of_fid(int(table[i, j]))
             assert fb == feedback(q, h, cfg)
+            assert blacks[i, j] == fb.black
 
 
 def test_black_white_table_built_in_one_array():

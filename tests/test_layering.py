@@ -1,5 +1,5 @@
-"""The feedback table is read only through CodeSpace (split, minimax_scores),
-so replacing it changes one module."""
+"""The feedback table is read only through CodeSpace (split, minimax_scores,
+black_rows), so replacing it changes one module."""
 from pathlib import Path
 
 import pytest
@@ -9,8 +9,19 @@ import querymind
 PACKAGE = Path(querymind.__file__).parent
 
 
-@pytest.mark.parametrize("module", ["engine.py", "strategies.py", "cli.py"])
+@pytest.mark.parametrize(
+    "module", ["engine.py", "strategies.py", "cli.py", "nonadaptive.py"]
+)
 def test_module_does_not_reach_the_table(module):
     source = (PACKAGE / module).read_text()
     assert "fid_table" not in source
     assert "_kernels" not in source
+
+
+def test_only_codespace_imports_the_kernels():
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "import _kernels" in path.read_text() or "from ._kernels" in path.read_text()
+    }
+    assert importers == {"codespace.py"}

@@ -1,10 +1,17 @@
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 
-from querymind.codespace import CodeSpace, FeedbackMode, Mode, Repeats, VariantConfig
+from querymind.codespace import (
+    CodeSpace,
+    FeedbackMode,
+    Mode,
+    Repeats,
+    VariantConfig,
+    feedback,
+    parse_code,
+)
 from querymind.combinatorics import entropy_lower_bound, match_distribution, shannon_entropy
 from querymind.errors import DomainError
 from querymind.nonadaptive import (
@@ -12,10 +19,7 @@ from querymind.nonadaptive import (
     entropy_audit,
     greedy_query_set,
     is_identifiable,
-    joint_response_distribution,
-    joint_response_entropy,
     min_nonadaptive_size,
-    response_vector,
 )
 
 
@@ -44,13 +48,6 @@ class TestQuerySet:
         assert back == qs
         assert path.read_text().startswith("# two probes\n")
 
-    def test_response_vector(self):
-        cfg = na_config(3)
-        qs = QuerySet(cfg, ((1, 2, 3), (2, 1, 3)))
-        assert response_vector(qs, (1, 2, 3)) == [3, 1]
-        assert response_vector(qs, (2, 1, 3)) == [1, 3]
-        assert response_vector(qs, (3, 2, 1)) == [1, 0]
-
 
 class TestIsIdentifiable:
     def test_empty_set_not_identifiable(self):
@@ -76,9 +73,7 @@ class TestIsIdentifiable:
         rep = is_identifiable(QuerySet(cfg, ((1, 2, 3),)))
         assert not rep.identifiable
         a, b = rep.witness
-        assert response_vector(QuerySet(cfg, ((1, 2, 3),)), a) == response_vector(
-            QuerySet(cfg, ((1, 2, 3),)), b
-        )
+        assert feedback((1, 2, 3), a, cfg).black == feedback((1, 2, 3), b, cfg).black
         # (1,3,2) and (3,2,1) are the first pair with equal responses
         assert rep.witness == ((1, 3, 2), (2, 1, 3))
 
@@ -128,6 +123,28 @@ class TestMinSize:
             cfg = na_config(n, k)
             res = min_nonadaptive_size(cfg, s_cap=8)
             assert res.size >= entropy_lower_bound(n, k)
+
+    # With black pegs and repeats allowed an identifiable set is a resolving
+    # set of the Hamming graph H(n, k); n = 2 follows floor(2(2k-1)/3)
+    # (Caceres et al., SIAM J. Discrete Math. 2007).
+    @pytest.mark.parametrize(
+        "n, k, size, witness",
+        [
+            (2, 2, 2, None),
+            (2, 3, 3, None),
+            (2, 4, 4, None),
+            (2, 5, 6, "1,1 1,2 1,3 2,1 3,4 4,4"),
+            (3, 2, 3, None),
+            (4, 2, 4, None),
+            (5, 2, 4, "1,1,1,1,1 1,1,1,2,2 1,1,2,1,2 1,2,1,1,2"),
+        ],
+    )
+    def test_hamming_graph_metric_dimension(self, n, k, size, witness):
+        cfg = VariantConfig(n, k, feedback=FeedbackMode.BLACK_ONLY, mode=Mode.NON_ADAPTIVE)
+        res = min_nonadaptive_size(cfg, s_cap=size)
+        assert res.size == size
+        if witness is not None:
+            assert res.query_set.queries == tuple(map(parse_code, witness.split()))
 
 
 class TestGreedy:
@@ -179,23 +196,3 @@ class TestEntropy:
         )
         with pytest.raises(DomainError):
             entropy_audit(cfg, (1, 1))
-
-    def test_joint_entropy_of_identifiable_set_is_log_size(self):
-        for n in (2, 3):
-            cfg = na_config(n)
-            qs = greedy_query_set(cfg)
-            space = CodeSpace.enumerate(cfg)
-            assert joint_response_entropy(qs) == pytest.approx(math.log2(space.size))
-
-    def test_joint_entropy_subadditive(self):
-        for n, k in [(3, 3), (2, 4)]:
-            cfg = na_config(n, k)
-            space = CodeSpace.enumerate(cfg)
-            queries = tuple(space)[:3]
-            qs = QuerySet(cfg, queries)
-            total = 0.0
-            for q in queries:
-                dist = joint_response_distribution(QuerySet(cfg, (q,)), space)
-                probs = [Fraction(c, space.size) for c in dist.values()]
-                total += shannon_entropy(probs)
-            assert joint_response_entropy(qs, space) <= total + 1e-9
