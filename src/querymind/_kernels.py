@@ -63,9 +63,9 @@ def max_bucket_sizes(fids: np.ndarray, n_fids: int) -> np.ndarray:
     if s_cols == 0:
         return np.zeros(q_rows, dtype=np.int64)
     out = np.empty(q_rows, dtype=np.int64)
-    rows_per_chunk = max(1, CHUNK_CELLS // max(s_cols, n_fids))
+    rows_per_chunk = max(1, min(q_rows, CHUNK_CELLS // max(s_cols, n_fids)))
     offsets = np.arange(rows_per_chunk, dtype=np.int64)[:, None] * n_fids
-    flat = np.empty((min(rows_per_chunk, q_rows), s_cols), dtype=np.int64)
+    flat = np.empty((rows_per_chunk, s_cols), dtype=np.int64)
     for lo in range(0, q_rows, rows_per_chunk):
         hi = min(lo + rows_per_chunk, q_rows)
         chunk = flat[: hi - lo]

@@ -28,6 +28,7 @@ from .codespace import (
     Mode,
     Repeats,
     VariantConfig,
+    check_table_memory,
     format_code,
     parse_code,
 )
@@ -148,14 +149,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> VariantConfig:
-    return VariantConfig(
+def _config_from(args: argparse.Namespace, required: Optional[Mode] = None) -> VariantConfig:
+    """The config of the flags; DomainError if the command plays only in
+    the required mode and --mode names the other."""
+    config = VariantConfig(
         n=args.n,
         k=args.k,
         feedback=FeedbackMode(args.feedback),
         repeats=Repeats(args.repeats),
         mode=Mode(args.mode),
     )
+    if required is not None and config.mode is not required:
+        raise DomainError(f"{args.command} requires --mode {required.value}")
+    return config
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -195,9 +201,16 @@ def _space_budget(args: argparse.Namespace, default: int) -> int:
     return default if args.space_budget is None else args.space_budget
 
 
+def _table_space(args: argparse.Namespace, config: VariantConfig) -> CodeSpace:
+    """The space of a command that builds the whole feedback table; the
+    table's size is checked first, so a refused table costs no enumeration."""
+    check_table_memory(config.space_size, config.space_size)
+    return CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
+
+
 def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args)
-    space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
+    config = _config_from(args, Mode.ADAPTIVE)
+    space = _table_space(args, config)
     if args.hidden is not None:
         hidden = parse_code(args.hidden)
     else:
@@ -219,7 +232,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args)
+    config = _config_from(args, Mode.ADAPTIVE)
     strategy = get_strategy(args.strategy)
     result = engine.worst_case_queries(
         strategy,
@@ -250,7 +263,7 @@ def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args)
+    config = _config_from(args, Mode.ADAPTIVE)
     result = engine.exact_game_value(
         config,
         depth_cap=args.turn_budget,
@@ -279,8 +292,8 @@ def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args)
-    space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
+    config = _config_from(args, Mode.ADAPTIVE)
+    space = _table_space(args, config)
     strategy = get_strategy(args.strategy)
     transcript = engine.play_adversarial(
         strategy, config, turn_budget=args.turn_budget, space=space
@@ -299,9 +312,7 @@ def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args)
-    if config.mode is not Mode.NON_ADAPTIVE:
-        raise DomainError("nonadaptive-search requires --mode nonadaptive")
+    config = _config_from(args, Mode.NON_ADAPTIVE)
     if args.queries_file is not None:
         space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
         qs = nonadaptive.QuerySet.from_file(args.queries_file, config)

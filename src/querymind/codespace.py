@@ -160,6 +160,19 @@ def encode01(c: Code, config: VariantConfig) -> np.ndarray:
     return vec
 
 
+def check_table_memory(rows: int, cols: int) -> None:
+    """Raise CapacityError unless a (rows, cols) int16 feedback table fits in
+    physical memory. It needs only the shape, so a command that builds the
+    whole table can check the space size before it enumerates."""
+    nbytes = rows * cols * np.dtype(np.int16).itemsize
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise CapacityError(
+            f"feedback table of {nbytes} bytes exceeds physical memory "
+            f"of {physical} bytes"
+        )
+
+
 @dataclass
 class CodeSpace:
     """Indexed lexicographic enumeration of all valid codes for a config."""
@@ -239,13 +252,7 @@ class CodeSpace:
         int16 table fits in physical memory."""
         if n_ids > 2**15:
             raise CapacityError(f"{n_ids} feedback ids do not fit an int16 table")
-        nbytes = rows * self.size * np.dtype(np.int16).itemsize
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if nbytes > physical:
-            raise CapacityError(
-                f"feedback table of {nbytes} bytes exceeds physical memory "
-                f"of {physical} bytes"
-            )
+        check_table_memory(rows, self.size)
 
     def fid_table(self) -> np.ndarray:
         """(size, size) table of packed feedback ids, row = query index.

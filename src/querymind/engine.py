@@ -24,7 +24,6 @@ from .codespace import (
 from .combinatorics import ceil_log
 from .errors import CapacityError, DomainError, ProtocolError
 from .strategies import (
-    MinimaxStrategy,
     SolutionSet,
     Strategy,
     Turn,
@@ -200,7 +199,6 @@ def worst_case_queries(
     space_budget: int = DEFAULT_SWEEP_BUDGET,
     turn_budget: Optional[int] = None,
     threads: Optional[int] = None,
-    space: Optional[CodeSpace] = None,
 ) -> WorstCaseResult:
     """Queries needed to determine every hidden code, swept exhaustively.
 
@@ -212,8 +210,7 @@ def worst_case_queries(
         raise CapacityError(
             f"space size {config.space_size} exceeds sweep budget {space_budget}"
         )
-    if space is None:
-        space = CodeSpace.enumerate(config)
+    space = CodeSpace.enumerate(config)
     budget = default_turn_budget(config) if turn_budget is None else turn_budget
     per_code = np.full(space.size, -1, dtype=np.int64)
     per_code_win = np.full(space.size, -1, dtype=np.int64)
@@ -293,10 +290,22 @@ def exact_game_value(
 ) -> ExactGameValue:
     """Optimal worst-case query count f(n, k) by full game-tree search.
 
-    value(S) = 0 when |S| = 1, else 1 + min over valid queries of the max
-    over realizable responses of the bucket value. Memoized on the index
-    tuple of S with best-so-far pruning and an information-theoretic
-    depth floor; queries are explored in lexicographic order.
+    Iterative deepening over one predicate, within(S, d): can some strategy
+    determine every code of S in at most d queries? A singleton needs none;
+    otherwise some query must split S into buckets that each pass at d - 1.
+    The value is the first d from the information floor ceil_log(n_fids, |S|)
+    up to the cap at which the root passes.
+
+    Queries are tried in ascending minimax score (largest bucket), ties to
+    the lowest index, as in Knuth's "The computer as Master Mind" (1977).
+    The loop stops at the first query whose score is |S| (it does not split
+    S) or whose largest bucket needs more than d - 1 queries by the floor
+    ceil_log(n_fids, score): scores only ascend, so no later query passes.
+
+    One memo, failed[S] = the largest d at which S is known to fail. A
+    strategy within d - 1 queries is also within d, so failure at d implies
+    failure at every smaller depth, and a recorded d >= the asked depth
+    answers False.
     """
     if config.space_size > space_budget:
         raise CapacityError(
@@ -306,64 +315,37 @@ def exact_game_value(
         space = CodeSpace.enumerate(config)
     cap = default_turn_budget(config) if depth_cap is None else depth_cap
     n_fids = space.n_fids
-    exact: dict[bytes, int] = {}
-    proven_above: dict[bytes, int] = {}  # key -> largest cap known insufficient
+    failed: dict[bytes, int] = {}
 
-    def solve(indices: np.ndarray, budget: int) -> int:
-        """Exact value if <= budget, else budget + 1."""
-        if indices.size == 1:
-            return 0
-        # each query has at most n_fids distinct responses
-        lo = ceil_log(n_fids, int(indices.size))
-        if lo > budget:
-            return budget + 1
+    def within(indices: np.ndarray, depth: int) -> bool:
+        size = int(indices.size)
+        if size == 1:
+            return True
         key = indices.tobytes()
-        val = exact.get(key)
-        if val is not None:
-            return val if val <= budget else budget + 1
-        above = proven_above.get(key)
-        if above is not None and above >= budget:
-            return budget + 1
-        best = budget + 1
+        if failed.get(key, -1) >= depth:
+            return False
+        scores = space.minimax_scores(indices)
         seen_partitions: set[tuple[bytes, ...]] = set()
-        for qi in range(space.size):
+        for qi in np.argsort(scores, kind="stable").tolist():
+            score = int(scores[qi])
+            if score == size or ceil_log(n_fids, score) > depth - 1:
+                break
             buckets = [bucket for _, bucket in space.split(qi, indices)]
-            if len(buckets) == 1:
-                continue  # uninformative query
             # one entry per bucket keeps the boundaries: [1,2],[3] != [1],[2,3]
             sig = tuple(bucket.tobytes() for bucket in buckets)
             if sig in seen_partitions:
-                continue  # identical partition already scored
+                continue  # identical partition already tried
             seen_partitions.add(sig)
-            worst = 0
             # biggest bucket first fails fastest
-            for bucket in sorted(buckets, key=len, reverse=True):
-                sub = solve(bucket, best - 2)
-                if sub > best - 2:
-                    worst = best  # this query cannot beat best
-                    break
-                worst = max(worst, sub)
-            if 1 + worst < best:
-                best = 1 + worst
-                if best == lo:
-                    break
-        if best <= budget:
-            exact[key] = best
-        else:
-            prior = proven_above.get(key, -1)
-            proven_above[key] = max(prior, budget)
-        return best
+            if all(within(b, depth - 1) for b in sorted(buckets, key=len, reverse=True)):
+                return True
+        failed[key] = depth
+        return False
 
-    all_indices = np.arange(space.size, dtype=np.int64)
-    if space.size == 1:
-        return ExactGameValue(0, False)
-    # greedy minimax's worst-case depth is an upper bound on the value
-    greedy = worst_case_queries(
-        MinimaxStrategy(), config, space_budget=space.size, turn_budget=cap, space=space
-    )
-    seed = cap + 1 if greedy.exhausted else greedy.max_queries
-    budget = min(cap, seed)
-    value = solve(all_indices, budget)
-    if value > cap:
-        return ExactGameValue(cap, True)
-    return ExactGameValue(value, False)
+    root = np.arange(space.size, dtype=np.int64)
+    depth = ceil_log(n_fids, space.size)
+    while depth <= cap:
+        if within(root, depth):
+            return ExactGameValue(depth, False)
+        depth += 1
+    return ExactGameValue(cap, True)

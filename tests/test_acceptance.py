@@ -151,6 +151,7 @@ def test_criterion_5_exact_value_consistency():
         assert result.value >= trivial_lower_bound(n)
         assert result.value <= sweep(config, "minimax").max_queries
         values[n] = result.value
+    assert values == {2: 1, 3: 3, 4: 4, 5: 5}
     report(
         "criterion 5: exact permutation-game values "
         f"{values} sit between ceil(log_n n!) and the minimax sweep"

@@ -130,6 +130,29 @@ class TestExitCodes:
         assert "capacity error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["solve", "adversary-trace"])
+    def test_table_checked_before_enumerating(self, command, tmp_path, capsys, monkeypatch):
+        # 10**6 codes fit the enumeration budget, their 2 TB table does not
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a space whose table cannot be built")
+
+        monkeypatch.setattr(CodeSpace, "enumerate", refuse)
+        code = run(
+            [command, "--n", "6", "--k", "10", "--feedback", "b", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "capacity error: feedback table of" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "worst-case", "exact-value", "adversary-trace"])
+    def test_adaptive_commands_reject_nonadaptive_mode(self, command, tmp_path, capsys):
+        code = run(
+            [command, "--n", "3", "--k", "3", "--mode", "nonadaptive", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert f"{command} requires --mode adaptive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_colors_beyond_int16_is_capacity(self, tmp_path, capsys):
         code = run(
             ["solve", "--n", "1", "--k", "40000", "--hidden", "40000", "--out", str(tmp_path)]
@@ -409,6 +432,15 @@ PINNED_ARTIFACTS = {
     },
     "solve --n 4 --k 6 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 25 --space-budget 1296 --seed 1 --threads 1": {
         "solve.json": "18e39f9f3c934fb82363104ae1158d501bcba187bc6f62b6c997f1d90cb62681",
+    },
+    "exact-value --n 4 --k 4 --feedback b --repeats no --mode adaptive --turn-budget 17 --space-budget 24 --seed 0 --threads 1": {
+        "exact_value.json": "47346b6544ad99a266d14f8a4080b919a63e21ae39d797a1940e77cdf8f1ae54",
+    },
+    "exact-value --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --turn-budget 10 --space-budget 27 --seed 0 --threads 1": {
+        "exact_value.json": "fab3df1bf04c6b997664cb13837f245af02b248025e4a8a285d679b09b9ca53c",
+    },
+    "exact-value --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --turn-budget 2 --space-budget 27 --seed 0 --threads 1": {
+        "exact_value.json": "25db7d1490494807035eb82e6c8e1c54047ab6d8bc3d2672bd1e3091fc9ae3c6",
     },
 }
 

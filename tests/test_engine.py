@@ -1,11 +1,20 @@
+import functools
 import sys
 
 import pytest
 
-from querymind.codespace import CodeSpace, Feedback, FeedbackMode, VariantConfig, feedback
+from querymind.codespace import (
+    CodeSpace,
+    Feedback,
+    FeedbackMode,
+    Repeats,
+    VariantConfig,
+    feedback,
+)
 from querymind.engine import (
     DETERMINED,
     EXHAUSTED,
+    ExactGameValue,
     adversary_feedback,
     default_turn_budget,
     exact_game_value,
@@ -211,13 +220,16 @@ class TestExactGameValue:
         r = exact_game_value(cfg)
         assert r.value == 0 and not r.capped
 
-    def test_perm2(self):
-        r = exact_game_value(perm_config(2))
-        assert r.value == 1 and not r.capped
-
-    def test_perm3(self):
-        r = exact_game_value(perm_config(3))
-        assert r.value == 3 and not r.capped
+    # expected values come from an earlier solver with other pruning and
+    # another query order
+    @pytest.mark.parametrize(
+        "n,cap,expected",
+        [(2, None, (1, False)), (3, None, (3, False)), (4, None, (4, False)),
+         (4, 2, (2, True)), (4, 4, (4, False))],
+        ids=["perm2", "perm3", "perm4", "perm4-cap2", "perm4-cap4"],
+    )
+    def test_perm_value(self, n, cap, expected):
+        assert exact_game_value(perm_config(n), depth_cap=cap) == ExactGameValue(*expected)
 
     def test_never_beats_information_floor(self):
         cfg = VariantConfig(2, 3)
@@ -230,3 +242,50 @@ class TestExactGameValue:
         r = exact_game_value(cfg)
         wc = worst_case_queries(get_strategy("minimax"), cfg)
         assert r.value <= wc.max_queries
+
+
+def brute_force_value(space: CodeSpace) -> int:
+    """Reference f: the plain minimax recursion over every informative
+    query, memoized on the frozenset of the solution set, with no pruning,
+    no query order and feedback from the scalar definition."""
+    codes = list(space)
+    rows = [[feedback(q, h, space.config) for h in codes] for q in codes]
+
+    @functools.cache
+    def value(s: frozenset) -> int:
+        if len(s) == 1:
+            return 0
+        best = None
+        for row in rows:
+            buckets: dict = {}
+            for i in s:
+                buckets.setdefault(row[i], []).append(i)
+            if len(buckets) > 1:
+                v = 1 + max(value(frozenset(b)) for b in buckets.values())
+                best = v if best is None else min(best, v)
+        return best
+
+    return value(frozenset(range(len(codes))))
+
+
+def _small_configs():
+    for n in range(1, 5):
+        # with n = 1 the recursion visits every subset: 2**k sets
+        for k in range(1, 9 if n == 1 else 28):
+            for mode in FeedbackMode:
+                for repeats in Repeats:
+                    if repeats is Repeats.FORBIDDEN and k < n:
+                        continue
+                    cfg = VariantConfig(n, k, feedback=mode, repeats=repeats)
+                    if cfg.space_size <= 27:
+                        yield cfg
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    list(_small_configs()),
+    ids=lambda c: f"{c.n}-{c.k}-{c.feedback.value}-{c.repeats.value}",
+)
+def test_exact_value_matches_brute_force(cfg):
+    space = CodeSpace.enumerate(cfg)
+    assert exact_game_value(cfg, space=space) == ExactGameValue(brute_force_value(space), False)

@@ -52,6 +52,20 @@ def test_max_bucket_sizes_memory_bounded_by_cells():
         assert out[i] == np.bincount(fids[i], minlength=8).max()
 
 
+def test_max_bucket_sizes_memory_bounded_by_rows():
+    # the exact solver scores a space's worth of rows per node, 120 on
+    # perm-5: few rows must not pay for the offsets of a full chunk
+    fids = np.zeros((3, 10), dtype=np.int16)
+    tracemalloc.start()
+    try:
+        out = _kernels.max_bucket_sizes(fids, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
+    assert out.tolist() == [10, 10, 10]
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
