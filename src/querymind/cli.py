@@ -50,6 +50,16 @@ EXIT_VALIDATION = 1
 EXIT_CAPACITY = 2
 EXIT_INVARIANT = 3
 
+# default --space-budget of each command that builds the whole feedback
+# table, and the name a refusal gives that budget
+_TABLE_BUDGETS = {
+    "solve": (DEFAULT_ENUMERATION_BUDGET, "enumeration"),
+    "worst-case": (5_000, "sweep"),
+    "exact-value": (360, "exact-solver"),
+    "adversary-trace": (DEFAULT_ENUMERATION_BUDGET, "enumeration"),
+    "nonadaptive-search": (100_000, "search"),
+}
+
 
 def _add_config_flags(p: argparse.ArgumentParser, mode_default: str = "adaptive") -> None:
     p.add_argument("--n", type=int, required=True, help="sequence length (>= 1)")
@@ -74,14 +84,9 @@ def _add_config_flags(p: argparse.ArgumentParser, mode_default: str = "adaptive"
     )
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, space_budget_help: str) -> None:
     p.add_argument("--turn-budget", type=int, default=None, help="max turns (default n*k+1)")
-    p.add_argument(
-        "--space-budget",
-        type=int,
-        default=None,
-        help="max code-space size for this command",
-    )
+    p.add_argument("--space-budget", type=int, default=None, help=space_budget_help)
     p.add_argument("--seed", type=int, default=0, help="seed for seeded choices")
     p.add_argument(
         "--threads",
@@ -90,6 +95,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         help="worker threads where a command parallelizes (default: machine)",
     )
     p.add_argument("--out", default=".", help="artifact directory (env QUERYMIND_OUT overrides)")
+
+
+def _budget_help(command: str, note: str = "") -> str:
+    return f"max code-space size (default {_TABLE_BUDGETS[command][0]}{note})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,16 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help='hidden code as "1,2,3"; default: seeded uniform pick',
     )
-    _add_common_flags(p)
+    _add_common_flags(p, _budget_help("solve"))
 
     p = sub.add_parser("worst-case", help="sweep every hidden code for a strategy")
     _add_config_flags(p)
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="minimax")
-    _add_common_flags(p)
+    _add_common_flags(p, _budget_help("worst-case"))
 
     p = sub.add_parser("exact-value", help="exact optimal worst-case query count")
     _add_config_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, _budget_help("exact-value"))
 
     p = sub.add_parser("bounds", help="exact lower-bound report for (n, k)")
     p.add_argument("--n", type=int, required=True)
@@ -127,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adversary-trace", help="play against the max-bucket adversary")
     _add_config_flags(p)
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="minimax")
-    _add_common_flags(p)
+    _add_common_flags(p, _budget_help("adversary-trace"))
 
     p = sub.add_parser(
         "nonadaptive-search", help="minimal identifiable non-adaptive query set"
@@ -139,12 +148,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check this query-set file instead of searching",
     )
-    _add_common_flags(p)
+    _add_common_flags(
+        p,
+        _budget_help(
+            "nonadaptive-search", f"; {DEFAULT_ENUMERATION_BUDGET} with --queries-file"
+        ),
+    )
 
     p = sub.add_parser("entropy-audit", help="single-query response entropy")
     _add_config_flags(p, mode_default="nonadaptive")
     p.add_argument("--query", default=None, help="query code; default lex-first")
-    _add_common_flags(p)
+    _add_common_flags(p, "not used: the audit enumerates no code space")
 
     return parser
 
@@ -197,28 +211,28 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _space_budget(args: argparse.Namespace, default: int) -> int:
-    return default if args.space_budget is None else args.space_budget
-
-
 def _table_space(args: argparse.Namespace, config: VariantConfig) -> CodeSpace:
-    """The space of a command that builds the whole feedback table; the
-    table's size is checked first, so a refused table costs no enumeration."""
-    check_table_memory(config.space_size, config.space_size)
-    return CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
+    """The space of a command that builds the whole feedback table. The
+    command's space budget and the table's memory are checked first, so a
+    refused request costs no enumeration."""
+    default, name = _TABLE_BUDGETS[args.command]
+    budget = default if args.space_budget is None else args.space_budget
+    if config.space_size > budget:
+        raise CapacityError(
+            f"space size {config.space_size} exceeds {name} budget {budget}"
+        )
+    check_table_memory(config, config.space_size, config.space_size)
+    return CodeSpace.enumerate(config, budget)
 
 
 def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args, Mode.ADAPTIVE)
-    space = _table_space(args, config)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     if args.hidden is not None:
         hidden = parse_code(args.hidden)
     else:
         hidden = space.decode(random.Random(args.seed).randrange(space.size))
     strategy = get_strategy(args.strategy)
-    transcript = engine.play_honest(
-        strategy, hidden, config, turn_budget=args.turn_budget, space=space
-    )
+    transcript = engine.play_honest(strategy, hidden, space, turn_budget=args.turn_budget)
     _write_result(out, "solve", args, "transcript", transcript.to_json())
     print(
         f"solve: {transcript.outcome} in {len(transcript.turns)} turns"
@@ -232,14 +246,10 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args, Mode.ADAPTIVE)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     strategy = get_strategy(args.strategy)
     result = engine.worst_case_queries(
-        strategy,
-        config,
-        space_budget=_space_budget(args, engine.DEFAULT_SWEEP_BUDGET),
-        turn_budget=args.turn_budget,
-        threads=args.threads,
+        strategy, space, turn_budget=args.turn_budget, threads=args.threads
     )
     _write_result(out, "worst_case", args, "result", result.to_json())
     _write_csv(
@@ -263,12 +273,8 @@ def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args, Mode.ADAPTIVE)
-    result = engine.exact_game_value(
-        config,
-        depth_cap=args.turn_budget,
-        space_budget=_space_budget(args, engine.DEFAULT_EXACT_BUDGET),
-    )
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
+    result = engine.exact_game_value(space, depth_cap=args.turn_budget)
     _write_result(out, "exact_value", args, "result", result.to_json())
     capped = " (depth cap reached)" if result.capped else ""
     print(f"exact-value: f = {result.value}{capped}")
@@ -292,12 +298,9 @@ def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args, Mode.ADAPTIVE)
-    space = _table_space(args, config)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     strategy = get_strategy(args.strategy)
-    transcript = engine.play_adversarial(
-        strategy, config, turn_budget=args.turn_budget, space=space
-    )
+    transcript = engine.play_adversarial(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "adversary_trace", args, "transcript", transcript.to_json())
     _write_csv(
         out / "adversary_trace.csv",
@@ -314,20 +317,19 @@ def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
 def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
     config = _config_from(args, Mode.NON_ADAPTIVE)
     if args.queries_file is not None:
-        space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
+        budget = args.space_budget
+        space = CodeSpace.enumerate(
+            config, DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+        )
         qs = nonadaptive.QuerySet.from_file(args.queries_file, config)
-        report = nonadaptive.is_identifiable(qs, space=space)
+        report = nonadaptive.is_identifiable(qs, space)
         _write_result(out, "nonadaptive_check", args, "report", report.to_json())
         print(
             f"nonadaptive-search: file set of size {qs.size} "
             f"identifiable={report.identifiable}"
         )
         return EXIT_OK
-    result = nonadaptive.min_nonadaptive_size(
-        config,
-        s_cap=args.s_cap,
-        space_budget=_space_budget(args, 100_000),
-    )
+    result = nonadaptive.min_nonadaptive_size(_table_space(args, config), args.s_cap)
     _write_result(out, "nonadaptive_search", args, "result", result.to_json())
     if result.query_set is not None:
         result.query_set.to_file(

@@ -160,16 +160,23 @@ def encode01(c: Code, config: VariantConfig) -> np.ndarray:
     return vec
 
 
-def check_table_memory(rows: int, cols: int) -> None:
+def check_table_memory(config: VariantConfig, rows: int, cols: int) -> None:
     """Raise CapacityError unless a (rows, cols) int16 feedback table fits in
-    physical memory. It needs only the shape, so a command that builds the
-    whole table can check the space size before it enumerates."""
-    nbytes = rows * cols * np.dtype(np.int16).itemsize
+    physical memory together with the float32 features that
+    _kernels.feedback_ids builds for its rows and columns: n*k per code,
+    2*n*k when the config has white pegs (black_rows builds n*k in either
+    mode, so for it this is an upper bound). It needs no enumerated codes,
+    so a command that builds the whole table can check before it enumerates."""
+    width = config.n * config.k
+    if config.feedback is FeedbackMode.BLACK_WHITE:
+        width *= 2
+    table = rows * cols * np.dtype(np.int16).itemsize
+    features = (rows + cols) * width * np.dtype(np.float32).itemsize
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > physical:
+    if table + features > physical:
         raise CapacityError(
-            f"feedback table of {nbytes} bytes exceeds physical memory "
-            f"of {physical} bytes"
+            f"feedback table of {table} bytes, with {features} bytes of kernel "
+            f"features, exceeds physical memory of {physical} bytes"
         )
 
 
@@ -249,16 +256,17 @@ class CodeSpace:
 
     def _check_table(self, rows: int, n_ids: int) -> None:
         """Raise CapacityError unless n_ids ids fit int16 and a (rows, size)
-        int16 table fits in physical memory."""
+        table fits in physical memory with its kernel features."""
         if n_ids > 2**15:
             raise CapacityError(f"{n_ids} feedback ids do not fit an int16 table")
-        check_table_memory(rows, self.size)
+        check_table_memory(self.config, rows, self.size)
 
     def fid_table(self) -> np.ndarray:
         """(size, size) table of packed feedback ids, row = query index.
 
-        Raises CapacityError, before allocating, if the table alone would
-        not fit in the machine's physical memory, or if packed ids would not
+        Raises CapacityError, before allocating, if the table and the
+        kernel's features would not fit in the machine's physical memory
+        (check_table_memory), or if packed ids would not
         fit int16 (only k = 1 spaces with n >= 181 black+white, or n >= 32768
         black-only, get there); that limit also keeps the kernel exact.
         """

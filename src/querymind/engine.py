@@ -15,14 +15,13 @@ import numpy as np
 from .codespace import (
     Code,
     CodeSpace,
-    DEFAULT_ENUMERATION_BUDGET,
     Feedback,
     VariantConfig,
     feedback,
     validate_code,
 )
 from .combinatorics import ceil_log
-from .errors import CapacityError, DomainError, ProtocolError
+from .errors import DomainError, ProtocolError
 from .strategies import (
     SolutionSet,
     Strategy,
@@ -32,9 +31,6 @@ from .strategies import (
 
 DETERMINED = "determined"
 EXHAUSTED = "exhausted"
-
-DEFAULT_EXACT_BUDGET = 360
-DEFAULT_SWEEP_BUDGET = 5_000
 
 
 @dataclass(frozen=True)
@@ -68,13 +64,11 @@ def default_turn_budget(config: VariantConfig) -> int:
     return config.n * config.k + 1
 
 
-def _next_query(
-    strategy: Strategy, turns: list[Turn], s: SolutionSet, config: VariantConfig
-) -> Code:
+def _next_query(strategy: Strategy, turns: list[Turn], s: SolutionSet) -> Code:
     """The strategy's next query; ProtocolError if it is not a valid code."""
     q = strategy.next_query(turns, s)
     try:
-        validate_code(q, config)
+        validate_code(q, s.space.config)
     except Exception as exc:
         raise ProtocolError(f"strategy emitted invalid code {q!r}") from exc
     return q
@@ -82,15 +76,13 @@ def _next_query(
 
 def _play(
     strategy: Strategy,
-    config: VariantConfig,
+    space: CodeSpace,
     answer: Callable[[SolutionSet, Code], tuple[Feedback, SolutionSet]],
     turn_budget: Optional[int],
-    space: Optional[CodeSpace],
 ) -> GameTranscript:
     """Game loop shared by every codemaker; answer(s, q) returns the
     response to q and the solution set left after it."""
-    if space is None:
-        space = CodeSpace.enumerate(config)
+    config = space.config
     budget = default_turn_budget(config) if turn_budget is None else turn_budget
     if budget < 1:
         raise DomainError(f"turn budget must be >= 1, got {budget}")
@@ -98,7 +90,7 @@ def _play(
     turns: list[Turn] = []
     sizes = [len(s)]
     while len(s) > 1 and len(turns) < budget:
-        q = _next_query(strategy, turns, s, config)
+        q = _next_query(strategy, turns, s)
         r, s = answer(s, q)
         turns.append((q, r))
         sizes.append(len(s))
@@ -110,23 +102,20 @@ def _play(
 def play_honest(
     strategy: Strategy,
     h: Code,
-    config: VariantConfig,
+    space: CodeSpace,
     turn_budget: Optional[int] = None,
-    space: Optional[CodeSpace] = None,
 ) -> GameTranscript:
     """Run an adaptive game against the honest codemaker holding h."""
-    validate_code(h, config)
+    validate_code(h, space.config)
 
     def answer(s: SolutionSet, q: Code) -> tuple[Feedback, SolutionSet]:
-        r = feedback(q, h, config)
+        r = feedback(q, h, space.config)
         return r, filter_consistent(s, q, r)
 
-    return _play(strategy, config, answer, turn_budget, space)
+    return _play(strategy, space, answer, turn_budget)
 
 
-def adversary_feedback(
-    s_prev: SolutionSet, q: Code, config: VariantConfig
-) -> tuple[Feedback, SolutionSet]:
+def adversary_feedback(s_prev: SolutionSet, q: Code) -> tuple[Feedback, SolutionSet]:
     """Greedy adversary: answer with the largest realizable response bucket.
 
     Ties go to the smallest black count, then the smallest white count
@@ -143,18 +132,11 @@ def adversary_feedback(
 
 def play_adversarial(
     strategy: Strategy,
-    config: VariantConfig,
+    space: CodeSpace,
     turn_budget: Optional[int] = None,
-    space: Optional[CodeSpace] = None,
 ) -> GameTranscript:
     """Run the strategy against the greedy max-bucket adversary."""
-    return _play(
-        strategy,
-        config,
-        lambda s, q: adversary_feedback(s, q, config),
-        turn_budget,
-        space,
-    )
+    return _play(strategy, space, adversary_feedback, turn_budget)
 
 
 @dataclass
@@ -195,8 +177,7 @@ class WorstCaseResult:
 
 def worst_case_queries(
     strategy: Strategy,
-    config: VariantConfig,
-    space_budget: int = DEFAULT_SWEEP_BUDGET,
+    space: CodeSpace,
     turn_budget: Optional[int] = None,
     threads: Optional[int] = None,
 ) -> WorstCaseResult:
@@ -206,12 +187,7 @@ def worst_case_queries(
     so the sweep walks that tree once instead of replaying each code;
     the per-code counts are identical to honest play.
     """
-    if config.space_size > space_budget:
-        raise CapacityError(
-            f"space size {config.space_size} exceeds sweep budget {space_budget}"
-        )
-    space = CodeSpace.enumerate(config)
-    budget = default_turn_budget(config) if turn_budget is None else turn_budget
+    budget = default_turn_budget(space.config) if turn_budget is None else turn_budget
     per_code = np.full(space.size, -1, dtype=np.int64)
     per_code_win = np.full(space.size, -1, dtype=np.int64)
 
@@ -230,7 +206,7 @@ def worst_case_queries(
             return
         if depth >= budget:
             return  # left as -1: not determined within budget
-        q = _next_query(strategy, turns, SolutionSet(space, indices), config)
+        q = _next_query(strategy, turns, SolutionSet(space, indices))
         # a bucket equal to the whole set is allowed (e.g. a basis query that
         # grows the rank without splitting); the turn budget bounds recursion
         children = [
@@ -261,7 +237,7 @@ def worst_case_queries(
     argmax = [space.decode(int(i)) for i in np.flatnonzero(per_code == max_q)]
     return WorstCaseResult(
         strategy=strategy.name,
-        config=config,
+        config=space.config,
         max_queries=max_q,
         max_turns_to_win=max_win,
         argmax_codes=argmax,
@@ -282,12 +258,7 @@ class ExactGameValue:
         return {"value": self.value, "capped": self.capped}
 
 
-def exact_game_value(
-    config: VariantConfig,
-    depth_cap: Optional[int] = None,
-    space_budget: int = DEFAULT_EXACT_BUDGET,
-    space: Optional[CodeSpace] = None,
-) -> ExactGameValue:
+def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> ExactGameValue:
     """Optimal worst-case query count f(n, k) by full game-tree search.
 
     Iterative deepening over one predicate, within(S, d): can some strategy
@@ -307,13 +278,9 @@ def exact_game_value(
     failure at every smaller depth, and a recorded d >= the asked depth
     answers False.
     """
-    if config.space_size > space_budget:
-        raise CapacityError(
-            f"space size {config.space_size} exceeds exact-solver budget {space_budget}"
-        )
-    if space is None:
-        space = CodeSpace.enumerate(config)
-    cap = default_turn_budget(config) if depth_cap is None else depth_cap
+    cap = default_turn_budget(space.config) if depth_cap is None else depth_cap
+    if cap < 0:
+        raise DomainError(f"depth cap must be >= 0, got {cap}")
     n_fids = space.n_fids
     failed: dict[bytes, int] = {}
 

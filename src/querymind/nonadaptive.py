@@ -14,7 +14,6 @@ import numpy as np
 from .codespace import (
     Code,
     CodeSpace,
-    DEFAULT_ENUMERATION_BUDGET,
     Mode,
     Repeats,
     VariantConfig,
@@ -27,7 +26,7 @@ from .combinatorics import (
     match_distribution,
     shannon_entropy,
 )
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -100,27 +99,21 @@ def _entropy_lb_or_none(config: VariantConfig) -> Optional[int]:
     return None
 
 
-def is_identifiable(
-    qs: QuerySet,
-    space: Optional[CodeSpace] = None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> IdentifiabilityReport:
+def is_identifiable(qs: QuerySet, space: CodeSpace) -> IdentifiabilityReport:
     """Whether the response vector is injective over the whole code space.
 
     On failure the witness is the first colliding pair in code-space order.
     """
-    if space is None:
-        space = CodeSpace.enumerate(qs.config, budget)
     labels = np.zeros(space.size, dtype=np.int64)
     for row in space.black_rows([space.encode(q) for q in qs.queries]):
-        labels = _refine(labels, row, qs.config.n)
+        labels = _refine(labels, row, space.config.n)
     first = np.unique(labels, return_index=True)[1][labels]  # first of each class
     repeated = np.flatnonzero(first != np.arange(space.size))
     witness = None
     if repeated.size:
         j = int(repeated[0])
         witness = (space.decode(int(first[j])), space.decode(j))
-    entropy_lb = _entropy_lb_or_none(qs.config)
+    entropy_lb = _entropy_lb_or_none(space.config)
     return IdentifiabilityReport(
         identifiable=witness is None,
         witness=witness,
@@ -148,12 +141,7 @@ class MinSizeResult:
         }
 
 
-def min_nonadaptive_size(
-    config: VariantConfig,
-    s_cap: int,
-    space_budget: int = 100_000,
-    space: Optional[CodeSpace] = None,
-) -> MinSizeResult:
+def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
     """Smallest identifiable query-set size, by exhaustive subset search.
 
     Subsets are explored by size, then lexicographically by query indices,
@@ -161,12 +149,7 @@ def min_nonadaptive_size(
     The walk is depth-first: each node refines its prefix's response
     classes by one query, so a leaf costs one bincount.
     """
-    if config.space_size > space_budget:
-        raise CapacityError(
-            f"space size {config.space_size} exceeds search budget {space_budget}"
-        )
-    if space is None:
-        space = CodeSpace.enumerate(config)
+    config = space.config
     if space.size == 1:
         return MinSizeResult(0, False, QuerySet(config, ()))
     rows = space.black_rows(np.arange(space.size))
@@ -197,20 +180,11 @@ def min_nonadaptive_size(
     return MinSizeResult(None, True, None)
 
 
-def greedy_query_set(
-    config: VariantConfig,
-    space_budget: int = 100_000,
-    space: Optional[CodeSpace] = None,
-) -> QuerySet:
+def greedy_query_set(space: CodeSpace) -> QuerySet:
     """Identifiable query set built greedily: each appended query minimizes
     the number of still-unresolved code pairs, ties by lowest query index.
     """
-    if config.space_size > space_budget:
-        raise CapacityError(
-            f"space size {config.space_size} exceeds search budget {space_budget}"
-        )
-    if space is None:
-        space = CodeSpace.enumerate(config)
+    config = space.config
     if space.size == 1:
         return QuerySet(config, ())
     rows = space.black_rows(np.arange(space.size))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codespace import Code, CodeSpace, Feedback, VariantConfig, encode01
+from .codespace import Code, CodeSpace, Feedback, encode01
 from .errors import ContradictionError, DomainError, ProtocolError
 
 Turn = tuple[Code, Feedback]
@@ -60,7 +60,7 @@ def filter_consistent(s: SolutionSet, q: Code, r: Feedback) -> SolutionSet:
     return SolutionSet(space, s.indices[:0])
 
 
-def minimax_next(s: SolutionSet, config: VariantConfig) -> Code:
+def minimax_next(s: SolutionSet) -> Code:
     """Minimum-score query; ties prefer members of s, then lowest index."""
     if len(s) < 2:
         raise DomainError("minimax needs at least 2 remaining candidates")
@@ -135,21 +135,12 @@ class FirstConsistentStrategy(Strategy):
 
 
 class MinimaxStrategy(Strategy):
-    """Knuth-style minimax; decisions depend only on the remaining set,
-    so they are memoized on its index tuple."""
+    """Knuth-style minimax; decisions depend only on the remaining set."""
 
     name = "minimax"
 
-    def __init__(self) -> None:
-        self._memo: dict[bytes, Code] = {}
-
     def next_query(self, history: Sequence[Turn], s: SolutionSet) -> Code:
-        key = s.indices.tobytes()
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = minimax_next(s, s.space.config)
-            self._memo[key] = hit
-        return hit
+        return minimax_next(s)
 
 
 class BasisStrategy(Strategy):

@@ -43,7 +43,7 @@ def sweep(config, strategy_name):
     key = (config, strategy_name)
     if key not in _sweep_cache:
         _sweep_cache[key] = worst_case_queries(
-            get_strategy(strategy_name), config, threads=THREADS
+            get_strategy(strategy_name), CodeSpace.enumerate(config), threads=THREADS
         )
     return _sweep_cache[key]
 
@@ -122,9 +122,7 @@ def test_criterion_4_adversarial_trace_bound():
         for c in (1, 2):
             budget = n - c
             for name in STRATEGY_NAMES:
-                transcript = play_adversarial(
-                    get_strategy(name), config, turn_budget=budget, space=space
-                )
+                transcript = play_adversarial(get_strategy(name), space, turn_budget=budget)
                 sizes = list(transcript.sizes)
                 sizes += [sizes[-1]] * (budget + 1 - len(sizes))
                 for t in range(budget + 1):
@@ -146,7 +144,7 @@ def test_criterion_5_exact_value_consistency():
     values = {}
     for n in (2, 3, 4, 5):
         config = perm_config(n)
-        result = exact_game_value(config)
+        result = exact_game_value(CodeSpace.enumerate(config))
         assert not result.capped
         assert result.value >= trivial_lower_bound(n)
         assert result.value <= sweep(config, "minimax").max_queries
@@ -169,7 +167,7 @@ def test_criterion_6_nonadaptive_entropy_bound():
                 repeats=Repeats.FORBIDDEN,
                 mode=Mode.NON_ADAPTIVE,
             )
-            result = min_nonadaptive_size(config, s_cap=8)
+            result = min_nonadaptive_size(CodeSpace.enumerate(config), s_cap=8)
             assert not result.capped
             assert result.size >= entropy_lower_bound(n, k), (n, k)
             checked.append(((n, k), result.size))

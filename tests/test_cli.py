@@ -115,6 +115,31 @@ class TestExitCodes:
         assert code == 2
         assert "space size 3125 exceeds search budget 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, budget, name",
+        [
+            ("solve", 10_000_000, "enumeration"),
+            ("worst-case", 5_000, "sweep"),
+            ("exact-value", 360, "exact-solver"),
+            ("adversary-trace", 10_000_000, "enumeration"),
+            ("nonadaptive-search", 100_000, "search"),
+        ],
+        ids=["solve", "worst-case", "exact-value", "adversary-trace", "nonadaptive-search"],
+    )
+    def test_default_space_budget_checked_before_enumerating(
+        self, command, budget, name, tmp_path, capsys, monkeypatch
+    ):
+        # n = 1 and k = default + 1: one code more than the command's budget
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated an over-budget space")
+
+        monkeypatch.setattr(CodeSpace, "enumerate", refuse)
+        code = run([command, "--n", "1", "--k", str(budget + 1), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"space size {budget + 1} exceeds {name} budget {budget}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_search_table_beyond_physical_memory_is_capacity(self, tmp_path, capsys):
         # 8**6 = 262144 codes: the black-count rows of every query need 137 GB
         code = run(
@@ -130,15 +155,19 @@ class TestExitCodes:
         assert "capacity error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["solve", "adversary-trace"])
+    @pytest.mark.parametrize(
+        "command", ["solve", "adversary-trace", "worst-case", "exact-value"]
+    )
     def test_table_checked_before_enumerating(self, command, tmp_path, capsys, monkeypatch):
-        # 10**6 codes fit the enumeration budget, their 2 TB table does not
+        # 10**6 codes fit the space budget (raised where its default is
+        # smaller), their 2 TB table does not
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated a space whose table cannot be built")
 
         monkeypatch.setattr(CodeSpace, "enumerate", refuse)
+        budget = [] if command in ("solve", "adversary-trace") else ["--space-budget", "2000000"]
         code = run(
-            [command, "--n", "6", "--k", "10", "--feedback", "b", "--out", str(tmp_path)]
+            [command, "--n", "6", "--k", "10", "--feedback", "b", *budget, "--out", str(tmp_path)]
         )
         assert code == 2
         assert "capacity error: feedback table of" in capsys.readouterr().err
@@ -276,6 +305,14 @@ class TestExactValue:
         assert code == 0
         payload = read_json(tmp_path / "exact_value.json")
         assert payload["result"] == {"value": 3, "capped": False}
+
+    def test_negative_turn_budget_is_validation(self, tmp_path, capsys):
+        code = run(
+            ["exact-value", "--n", "3", "--k", "3", "--turn-budget", "-1", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "depth cap must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAdversaryTrace:

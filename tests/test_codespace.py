@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querymind import _kernels
 from querymind.codespace import (
     CodeSpace,
     Feedback,
@@ -215,6 +216,21 @@ class TestSplit:
         space = CodeSpace(config, np.ones((size, 1), dtype=np.int16))
         with pytest.raises(CapacityError):
             space.fid_table()
+
+    def test_kernel_features_count_against_physical_memory(self, monkeypatch):
+        # the black-peg rows of 3 queries over the 8**6 codes of (6, 8) take
+        # 1.5 MB, the float32 features the kernel builds for them 50 MB:
+        # 16 MiB of physical memory holds the rows but not the features
+        space = CodeSpace.enumerate(VariantConfig(6, 8, feedback=FeedbackMode.BLACK_ONLY))
+        pages = {"SC_PHYS_PAGES": 4096, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr("querymind.codespace.os.sysconf", pages.__getitem__)
+
+        def refuse(*args):
+            raise AssertionError("allocated rows that do not fit with their features")
+
+        monkeypatch.setattr(_kernels, "feedback_ids", refuse)
+        with pytest.raises(CapacityError, match="bytes of kernel features"):
+            space.black_rows([0, 1, 2])
 
 
 def test_code_serialization_roundtrip():

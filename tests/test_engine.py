@@ -24,8 +24,7 @@ from querymind.engine import (
 )
 import numpy as np
 
-from querymind.errors import CapacityError, DomainError, ProtocolError
-from querymind.nonadaptive import greedy_query_set, min_nonadaptive_size
+from querymind.errors import DomainError, ProtocolError
 from querymind.strategies import SolutionSet, Strategy, filter_consistent, get_strategy
 
 from conftest import perm_config
@@ -33,31 +32,30 @@ from conftest import perm_config
 
 @pytest.fixture(scope="module")
 def perm3():
-    cfg = perm_config(3)
-    return cfg, CodeSpace.enumerate(cfg)
+    return CodeSpace.enumerate(perm_config(3))
 
 
 class TestPlayHonest:
     def test_trivial_space_zero_turns(self):
-        cfg = VariantConfig(1, 1)
-        t = play_honest(get_strategy("first-consistent"), (1,), cfg)
+        space = CodeSpace.enumerate(VariantConfig(1, 1))
+        t = play_honest(get_strategy("first-consistent"), (1,), space)
         assert t.outcome == DETERMINED
         assert t.solution == (1,)
         assert t.turns == ()
 
     def test_perm2_one_turn(self):
-        cfg = perm_config(2)
-        t = play_honest(get_strategy("first-consistent"), (2, 1), cfg)
+        space = CodeSpace.enumerate(perm_config(2))
+        t = play_honest(get_strategy("first-consistent"), (2, 1), space)
         assert t.outcome == DETERMINED
         assert t.solution == (2, 1)
         assert len(t.turns) == 1
         assert t.turns[0] == ((1, 2), Feedback(0))
 
     def test_trace_sizes_non_increasing(self, perm3):
-        cfg, space = perm3
+        space = perm3
         for name in ("minimax", "basis", "first-consistent"):
             for h in space:
-                t = play_honest(get_strategy(name), h, cfg)
+                t = play_honest(get_strategy(name), h, space)
                 assert t.outcome == DETERMINED
                 assert t.solution == h
                 sizes = t.sizes
@@ -65,15 +63,15 @@ class TestPlayHonest:
                 assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_turn_budget_exhaustion(self, perm3):
-        cfg, space = perm3
-        t = play_honest(get_strategy("first-consistent"), (3, 1, 2), cfg, turn_budget=1)
+        space = perm3
+        t = play_honest(get_strategy("first-consistent"), (3, 1, 2), space, turn_budget=1)
         assert t.outcome == EXHAUSTED
         assert t.solution is None
 
-    def test_invalid_hidden_code(self):
-        cfg = perm_config(3)
+    def test_invalid_hidden_code(self, perm3):
+        space = perm3
         with pytest.raises(Exception):
-            play_honest(get_strategy("minimax"), (1, 1, 2), cfg)
+            play_honest(get_strategy("minimax"), (1, 1, 2), space)
 
     def test_default_budget(self):
         assert default_turn_budget(VariantConfig(4, 6)) == 25
@@ -81,24 +79,24 @@ class TestPlayHonest:
 
 class TestAdversary:
     def test_max_response_only_on_forced_singleton(self, perm3):
-        cfg, space = perm3
+        space = perm3
         s = SolutionSet.full(space)
         while len(s) > 1:
             q = get_strategy("minimax").next_query([], s)
-            fb, s = adversary_feedback(s, q, cfg)
+            fb, s = adversary_feedback(s, q)
             assert fb.black < 3
 
     def test_keeps_largest_bucket(self, perm3):
-        cfg, space = perm3
+        space = perm3
         s = SolutionSet.full(space)
         q = (1, 2, 3)
-        fb, kept = adversary_feedback(s, q, cfg)
+        fb, kept = adversary_feedback(s, q)
         for b in range(4):
             assert len(filter_consistent(s, q, Feedback(b))) <= len(kept)
 
     def test_perm3_trace(self, perm3):
-        cfg, space = perm3
-        t = play_adversarial(get_strategy("minimax"), cfg, turn_budget=6)
+        space = perm3
+        t = play_adversarial(get_strategy("minimax"), space, turn_budget=6)
         sizes = t.sizes
         assert sizes[0] == 6
         assert t.outcome in (DETERMINED, EXHAUSTED)
@@ -107,16 +105,16 @@ class TestAdversary:
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_adversary_at_least_as_hard_as_honest(self, perm3):
-        cfg, space = perm3
-        wc = worst_case_queries(get_strategy("minimax"), cfg)
-        t = play_adversarial(get_strategy("minimax"), cfg, turn_budget=10)
+        space = perm3
+        wc = worst_case_queries(get_strategy("minimax"), space)
+        t = play_adversarial(get_strategy("minimax"), space, turn_budget=10)
         assert t.outcome == DETERMINED
         assert len(t.turns) >= wc.max_queries
 
     def test_empty_set_rejected(self, perm3):
-        cfg, space = perm3
+        space = perm3
         with pytest.raises(DomainError):
-            adversary_feedback(SolutionSet(space, []), (1, 2, 3), cfg)
+            adversary_feedback(SolutionSet(space, []), (1, 2, 3))
 
     @pytest.mark.parametrize("name", ["minimax", "first-consistent", "basis"])
     @pytest.mark.parametrize(
@@ -124,34 +122,34 @@ class TestAdversary:
     )
     def test_honest_play_against_adversary_solution_repeats_turns(self, cfg, name):
         space = CodeSpace.enumerate(cfg)
-        adv = play_adversarial(get_strategy(name), cfg, space=space)
+        adv = play_adversarial(get_strategy(name), space)
         assert adv.outcome == DETERMINED
-        honest = play_honest(get_strategy(name), adv.solution, cfg, space=space)
+        honest = play_honest(get_strategy(name), adv.solution, space)
         assert honest.turns == adv.turns
         assert honest.sizes == adv.sizes
 
 
 class TestWorstCase:
     def test_perm2_first_consistent(self):
-        cfg = perm_config(2)
-        wc = worst_case_queries(get_strategy("first-consistent"), cfg)
+        space = CodeSpace.enumerate(perm_config(2))
+        wc = worst_case_queries(get_strategy("first-consistent"), space)
         assert wc.max_queries == 1
         assert wc.max_turns_to_win == 2
         assert wc.histogram == {1: 2}
         assert wc.histogram_win == {1: 1, 2: 1}
 
     def test_tree_walk_matches_honest_play(self, perm3):
-        cfg, space = perm3
+        space = perm3
         for name in ("minimax", "basis"):
-            wc = worst_case_queries(get_strategy(name), cfg)
+            wc = worst_case_queries(get_strategy(name), space)
             for idx, h in enumerate(space):
-                t = play_honest(get_strategy(name), h, cfg)
+                t = play_honest(get_strategy(name), h, space)
                 assert t.outcome == DETERMINED
                 assert wc.per_code[idx] == len(t.turns)
 
     def test_win_count_vs_determination(self, perm3):
-        cfg, space = perm3
-        wc = worst_case_queries(get_strategy("minimax"), cfg)
+        space = perm3
+        wc = worst_case_queries(get_strategy("minimax"), space)
         for d, w in zip(wc.per_code, wc.per_code_win):
             assert w in (d, d + 1)
         assert sum(wc.histogram.values()) == 6
@@ -160,7 +158,7 @@ class TestWorstCase:
     def test_threads_agree(self, perm3):
         # results and errors must not depend on the thread count, the root
         # (budget check, query validation) included
-        cfg, space = perm3
+        space = perm3
 
         class Bad(Strategy):
             name = "bad"
@@ -168,56 +166,36 @@ class TestWorstCase:
             def next_query(self, history, s):
                 return (9, 9, 9)
 
-        a = worst_case_queries(get_strategy("minimax"), cfg, threads=1)
+        a = worst_case_queries(get_strategy("minimax"), space, threads=1)
         for threads in (1, 2):
-            b = worst_case_queries(get_strategy("minimax"), cfg, threads=threads)
+            b = worst_case_queries(get_strategy("minimax"), space, threads=threads)
             assert np.array_equal(a.per_code, b.per_code)
             assert np.array_equal(a.per_code_win, b.per_code_win)
             zero = worst_case_queries(
-                get_strategy("minimax"), cfg, turn_budget=0, threads=threads
+                get_strategy("minimax"), space, turn_budget=0, threads=threads
             )
             assert zero.histogram == {}
             assert len(zero.exhausted) == space.size
             with pytest.raises(ProtocolError):
-                worst_case_queries(Bad(), cfg, threads=threads)
+                worst_case_queries(Bad(), space, threads=threads)
 
     def test_basis_state_shared_by_many_threads(self):
         # the basis strategy extends one query list from every worker thread
-        cfg = VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY)
-        expected = worst_case_queries(get_strategy("basis"), cfg, threads=1)
+        space = CodeSpace.enumerate(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY))
+        expected = worst_case_queries(get_strategy("basis"), space, threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                got = worst_case_queries(get_strategy("basis"), cfg, threads=8)
+                got = worst_case_queries(get_strategy("basis"), space, threads=8)
                 assert np.array_equal(got.per_code, expected.per_code)
         finally:
             sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize(
-    "search",
-    [
-        lambda cfg: worst_case_queries(get_strategy("minimax"), cfg, space_budget=100),
-        lambda cfg: exact_game_value(cfg, space_budget=100),
-        lambda cfg: min_nonadaptive_size(cfg, s_cap=2, space_budget=100),
-        lambda cfg: greedy_query_set(cfg, space_budget=100),
-    ],
-    ids=["worst_case_queries", "exact_game_value", "min_nonadaptive_size", "greedy_query_set"],
-)
-def test_space_budget_checked_before_enumerating(search, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerated an over-budget space")
-
-    monkeypatch.setattr(CodeSpace, "enumerate", refuse)
-    with pytest.raises(CapacityError, match="space size 3125 exceeds"):
-        search(VariantConfig(5, 5, feedback=FeedbackMode.BLACK_ONLY))
-
-
 class TestExactGameValue:
     def test_singleton_space(self):
-        cfg = VariantConfig(1, 1)
-        r = exact_game_value(cfg)
+        r = exact_game_value(CodeSpace.enumerate(VariantConfig(1, 1)))
         assert r.value == 0 and not r.capped
 
     # expected values come from an earlier solver with other pruning and
@@ -229,18 +207,23 @@ class TestExactGameValue:
         ids=["perm2", "perm3", "perm4", "perm4-cap2", "perm4-cap4"],
     )
     def test_perm_value(self, n, cap, expected):
-        assert exact_game_value(perm_config(n), depth_cap=cap) == ExactGameValue(*expected)
+        space = CodeSpace.enumerate(perm_config(n))
+        assert exact_game_value(space, depth_cap=cap) == ExactGameValue(*expected)
+
+    def test_depth_cap_below_zero_rejected(self, perm3):
+        with pytest.raises(DomainError, match="depth cap must be >= 0"):
+            exact_game_value(perm3, depth_cap=-1)
+        assert exact_game_value(perm3, depth_cap=0) == ExactGameValue(0, True)
 
     def test_never_beats_information_floor(self):
-        cfg = VariantConfig(2, 3)
-        space = CodeSpace.enumerate(cfg)
-        r = exact_game_value(cfg)
+        space = CodeSpace.enumerate(VariantConfig(2, 3))
+        r = exact_game_value(space)
         assert space.n_fids ** r.value >= len(space.codes)
 
     def test_upper_bounded_by_minimax_sweep(self):
-        cfg = perm_config(4)
-        r = exact_game_value(cfg)
-        wc = worst_case_queries(get_strategy("minimax"), cfg)
+        space = CodeSpace.enumerate(perm_config(4))
+        r = exact_game_value(space)
+        wc = worst_case_queries(get_strategy("minimax"), space)
         assert r.value <= wc.max_queries
 
 
@@ -288,4 +271,4 @@ def _small_configs():
 )
 def test_exact_value_matches_brute_force(cfg):
     space = CodeSpace.enumerate(cfg)
-    assert exact_game_value(cfg, space=space) == ExactGameValue(brute_force_value(space), False)
+    assert exact_game_value(space) == ExactGameValue(brute_force_value(space), False)

@@ -1,5 +1,6 @@
 """The feedback table is read only through CodeSpace (split, minimax_scores,
-black_rows), so replacing it changes one module."""
+black_rows), so replacing it changes one module; and the searches take an
+enumerated CodeSpace, so only the CLI decides how large a space may be."""
 from pathlib import Path
 
 import pytest
@@ -25,3 +26,10 @@ def test_only_codespace_imports_the_kernels():
         if "import _kernels" in path.read_text() or "from ._kernels" in path.read_text()
     }
     assert importers == {"codespace.py"}
+
+
+@pytest.mark.parametrize("module", ["engine.py", "strategies.py", "nonadaptive.py"])
+def test_searches_neither_enumerate_nor_budget(module):
+    source = (PACKAGE / module).read_text()
+    for name in ("CodeSpace.enumerate", "CapacityError", "space_budget"):
+        assert name not in source

@@ -52,25 +52,25 @@ class TestQuerySet:
 class TestIsIdentifiable:
     def test_empty_set_not_identifiable(self):
         cfg = na_config(2)
-        rep = is_identifiable(QuerySet(cfg, ()))
+        rep = is_identifiable(QuerySet(cfg, ()), CodeSpace.enumerate(cfg))
         assert not rep.identifiable
         assert rep.witness == ((1, 2), (2, 1))
 
     def test_whole_space_identifiable(self):
         cfg = na_config(3)
         space = CodeSpace.enumerate(cfg)
-        rep = is_identifiable(QuerySet(cfg, tuple(space)))
+        rep = is_identifiable(QuerySet(cfg, tuple(space)), space)
         assert rep.identifiable and rep.witness is None
 
     def test_single_query_perm2(self):
         cfg = na_config(2)
-        rep = is_identifiable(QuerySet(cfg, ((1, 2),)))
+        rep = is_identifiable(QuerySet(cfg, ((1, 2),)), CodeSpace.enumerate(cfg))
         assert rep.identifiable
         assert rep.s == 1 and rep.entropy_lb == 1 and rep.gap == 0
 
     def test_witness_is_first_collision(self):
         cfg = na_config(3)
-        rep = is_identifiable(QuerySet(cfg, ((1, 2, 3),)))
+        rep = is_identifiable(QuerySet(cfg, ((1, 2, 3),)), CodeSpace.enumerate(cfg))
         assert not rep.identifiable
         a, b = rep.witness
         assert feedback((1, 2, 3), a, cfg).black == feedback((1, 2, 3), b, cfg).black
@@ -83,7 +83,7 @@ class TestIsIdentifiable:
         full = tuple(space)
         identifiable_seen = False
         for s in range(len(full) + 1):
-            rep = is_identifiable(QuerySet(cfg, full[:s]))
+            rep = is_identifiable(QuerySet(cfg, full[:s]), space)
             if identifiable_seen:
                 assert rep.identifiable
             identifiable_seen = identifiable_seen or rep.identifiable
@@ -92,36 +92,32 @@ class TestIsIdentifiable:
 
 class TestMinSize:
     def test_perm2_single_query(self):
-        cfg = na_config(2)
-        res = min_nonadaptive_size(cfg, s_cap=3)
+        res = min_nonadaptive_size(CodeSpace.enumerate(na_config(2)), s_cap=3)
         assert res.size == 1 and not res.capped
         assert res.query_set.queries == ((1, 2),)
 
     def test_singleton_space_needs_nothing(self):
-        cfg = na_config(1, 1)
-        res = min_nonadaptive_size(cfg, s_cap=1)
+        res = min_nonadaptive_size(CodeSpace.enumerate(na_config(1, 1)), s_cap=1)
         assert res.size == 0 and res.query_set.queries == ()
 
     def test_cap_exceeded(self):
-        cfg = na_config(3)
-        res = min_nonadaptive_size(cfg, s_cap=1)
+        res = min_nonadaptive_size(CodeSpace.enumerate(na_config(3)), s_cap=1)
         assert res.capped and res.size is None and res.query_set is None
 
     def test_result_is_minimal_and_identifiable(self):
         for n, k in [(2, 2), (2, 3), (3, 3), (1, 3)]:
             cfg = na_config(n, k)
-            res = min_nonadaptive_size(cfg, s_cap=6)
+            space = CodeSpace.enumerate(cfg)
+            res = min_nonadaptive_size(space, s_cap=6)
             assert not res.capped
-            assert is_identifiable(res.query_set).identifiable
+            assert is_identifiable(res.query_set, space).identifiable
             if res.size > 0:
-                space = CodeSpace.enumerate(cfg)
                 for rows in itertools.combinations(list(space), res.size - 1):
-                    assert not is_identifiable(QuerySet(cfg, rows)).identifiable
+                    assert not is_identifiable(QuerySet(cfg, rows), space).identifiable
 
     def test_at_least_entropy_bound(self):
         for n, k in [(2, 2), (2, 3), (3, 3), (3, 4)]:
-            cfg = na_config(n, k)
-            res = min_nonadaptive_size(cfg, s_cap=8)
+            res = min_nonadaptive_size(CodeSpace.enumerate(na_config(n, k)), s_cap=8)
             assert res.size >= entropy_lower_bound(n, k)
 
     # With black pegs and repeats allowed an identifiable set is a resolving
@@ -141,7 +137,7 @@ class TestMinSize:
     )
     def test_hamming_graph_metric_dimension(self, n, k, size, witness):
         cfg = VariantConfig(n, k, feedback=FeedbackMode.BLACK_ONLY, mode=Mode.NON_ADAPTIVE)
-        res = min_nonadaptive_size(cfg, s_cap=size)
+        res = min_nonadaptive_size(CodeSpace.enumerate(cfg), s_cap=size)
         assert res.size == size
         if witness is not None:
             assert res.query_set.queries == tuple(map(parse_code, witness.split()))
@@ -150,16 +146,17 @@ class TestMinSize:
 class TestGreedy:
     def test_identifiable_postcondition(self):
         for n in (2, 3):
-            cfg = na_config(n)
-            qs = greedy_query_set(cfg)
-            assert is_identifiable(qs).identifiable
+            space = CodeSpace.enumerate(na_config(n))
+            qs = greedy_query_set(space)
+            assert is_identifiable(qs, space).identifiable
 
     def test_perm3_size(self):
-        qs = greedy_query_set(na_config(3))
+        qs = greedy_query_set(CodeSpace.enumerate(na_config(3)))
         assert qs.size == 4
 
     def test_deterministic(self):
-        assert greedy_query_set(na_config(3)) == greedy_query_set(na_config(3))
+        space = CodeSpace.enumerate(na_config(3))
+        assert greedy_query_set(space) == greedy_query_set(space)
 
 
 class TestEntropy:

@@ -105,13 +105,13 @@ class TestMinimax:
     def test_two_candidates_returns_member(self, perm3):
         cfg, space = perm3
         s = SolutionSet(space, [1, 4])
-        q = minimax_next(s, cfg)
+        q = minimax_next(s)
         assert q == space.decode(1)  # lower-indexed member on a tie
 
     def test_knuth_first_guess_pattern(self):
         cfg = VariantConfig(4, 6)
         space = CodeSpace.enumerate(cfg)
-        q = minimax_next(SolutionSet.full(space), cfg)
+        q = minimax_next(SolutionSet.full(space))
         assert sorted(q.count(c) for c in set(q)) == [2, 2]
 
     def test_scores_gather_table_in_blocks(self):
@@ -121,7 +121,7 @@ class TestMinimax:
         table = space.fid_table()
         tracemalloc.start()
         try:
-            q = minimax_next(SolutionSet.full(space), cfg)
+            q = minimax_next(SolutionSet.full(space))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -135,7 +135,7 @@ class TestMinimax:
             s = SolutionSet.full(space)
             seen = []
             while len(s) > 1:
-                q = minimax_next(s, cfg)
+                q = minimax_next(s)
                 assert q not in seen
                 seen.append(q)
                 s = filter_consistent(s, q, feedback(q, h, cfg))
@@ -143,7 +143,7 @@ class TestMinimax:
     def test_requires_two_candidates(self, perm3):
         cfg, space = perm3
         with pytest.raises(DomainError):
-            minimax_next(SolutionSet(space, [2]), cfg)
+            minimax_next(SolutionSet(space, [2]))
 
 
 def _rank(codes, cfg) -> int:
@@ -198,8 +198,9 @@ class TestBasisStrategy:
     )
     def test_worst_case_within_rank(self, cfg, rank):
         # filtering isolates every code once the queries span: at most rank turns
-        assert _rank(list(CodeSpace.enumerate(cfg)), cfg) == rank
-        result = worst_case_queries(get_strategy("basis"), cfg, threads=1)
+        space = CodeSpace.enumerate(cfg)
+        assert _rank(list(space), cfg) == rank
+        result = worst_case_queries(get_strategy("basis"), space, threads=1)
         assert result.exhausted == []
         assert result.max_queries <= rank
 
