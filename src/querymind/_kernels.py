@@ -12,7 +12,7 @@ import numpy as np
 USING_NUMBA = False
 
 _CHUNK = 256  # query rows per matrix product, bounds peak memory
-CHUNK_CELLS = 1 << 18  # table cells per max_bucket_sizes chunk
+CHUNK_CELLS = 1 << 16  # table cells per column_max_buckets block
 
 
 def _features(codes: np.ndarray, k: int, black_white: bool, scale: int) -> np.ndarray:
@@ -25,6 +25,14 @@ def _features(codes: np.ndarray, k: int, black_white: bool, scale: int) -> np.nd
         return e.astype(np.float32)
     above = onehot.sum(axis=1)[:, :, None] >= np.arange(1, n + 1)
     return np.hstack([np.float32(scale) * e, above.reshape(rows, k * n)], dtype=np.float32)
+
+
+def feedback_bytes(rows: int, cols: int, n: int, k: int, black_white: bool) -> int:
+    """Upper bound on the peak bytes of feedback_ids for rows queries and
+    cols codes: the int16 table, the float32 product buffer, and per code
+    every array of _features (bool one-hot and thresholds, float32 copies)."""
+    per_code = (14 if black_white else 5) * n * k
+    return 2 * rows * cols + 4 * min(_CHUNK, rows) * cols + per_code * (rows + cols)
 
 
 def feedback_ids(
@@ -52,24 +60,32 @@ def feedback_ids(
     return out
 
 
-def max_bucket_sizes(fids: np.ndarray, n_fids: int) -> np.ndarray:
-    """For each row of feedback ids, the largest bucket size; shape (Q,) int64.
+def column_max_buckets(table: np.ndarray, rows: np.ndarray, n_fids: int) -> np.ndarray:
+    """Largest bucket of each column of table over the rows at `rows`;
+    shape (table.shape[1],) int64.
 
-    Rows are counted in chunks of at most CHUNK_CELLS cells, through one
-    int64 buffer reused by every chunk, so the temporaries stay within
-    CHUNK_CELLS cells whatever the input.
+    Feedback is symmetric: black counts matching positions, and the matched
+    count sum_c min(count_c(q), count_c(x)) is symmetric in q and x. The
+    feedback table pairs the same codes on both sides, so the columns
+    table[:, S] that minimax scoring needs equal the rows table[S, :].T.
+    Those contiguous rows are read CHUNK_CELLS cells at a time into one
+    reused int64 buffer of flat ids f * width + column, counted into one
+    (n_fids, width) array.
     """
-    q_rows, s_cols = fids.shape
-    if s_cols == 0:
-        return np.zeros(q_rows, dtype=np.int64)
-    out = np.empty(q_rows, dtype=np.int64)
-    rows_per_chunk = max(1, min(q_rows, CHUNK_CELLS // max(s_cols, n_fids)))
-    offsets = np.arange(rows_per_chunk, dtype=np.int64)[:, None] * n_fids
-    flat = np.empty((rows_per_chunk, s_cols), dtype=np.int64)
-    for lo in range(0, q_rows, rows_per_chunk):
-        hi = min(lo + rows_per_chunk, q_rows)
-        chunk = flat[: hi - lo]
-        np.add(fids[lo:hi], offsets[: hi - lo], out=chunk)
-        counts = np.bincount(chunk.ravel(), minlength=(hi - lo) * n_fids)
-        out[lo:hi] = counts.reshape(hi - lo, n_fids).max(axis=1)
-    return out
+    width = table.shape[1]
+    block = max(1, min(len(rows), CHUNK_CELLS // max(width, 1)))
+    columns = np.arange(width, dtype=np.int64)
+    flat = np.empty((block, width), dtype=np.int64)
+    counts = np.zeros(n_fids * width, dtype=np.int64)
+    for lo in range(0, len(rows), block):
+        part = rows[lo : lo + block]
+        chunk = flat[: len(part)]
+        np.multiply(table[part], np.int64(width), out=chunk)
+        chunk += columns
+        counts += np.bincount(chunk.ravel(), minlength=n_fids * width)
+    return counts.reshape(n_fids, width).max(axis=0)
+
+
+def max_bucket_sizes(fids: np.ndarray, n_fids: int) -> np.ndarray:
+    """For each row of feedback ids, the largest bucket size; shape (Q,) int64."""
+    return column_max_buckets(fids.T, np.arange(fids.shape[1]), n_fids)

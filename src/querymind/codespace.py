@@ -161,22 +161,19 @@ def encode01(c: Code, config: VariantConfig) -> np.ndarray:
 
 
 def check_table_memory(config: VariantConfig, rows: int, cols: int) -> None:
-    """Raise CapacityError unless a (rows, cols) int16 feedback table fits in
-    physical memory together with the float32 features that
-    _kernels.feedback_ids builds for its rows and columns: n*k per code,
-    2*n*k when the config has white pegs (black_rows builds n*k in either
-    mode, so for it this is an upper bound). It needs no enumerated codes,
-    so a command that builds the whole table can check before it enumerates."""
-    width = config.n * config.k
-    if config.feedback is FeedbackMode.BLACK_WHITE:
-        width *= 2
-    table = rows * cols * np.dtype(np.int16).itemsize
-    features = (rows + cols) * width * np.dtype(np.float32).itemsize
+    """Raise CapacityError unless _kernels.feedback_ids, building a (rows,
+    cols) int16 table, fits in physical memory with every transient it
+    holds (_kernels.feedback_bytes; black_rows builds black-only features in
+    either mode, so for it this is an upper bound). It needs no enumerated
+    codes, so a command that builds the whole table can check first."""
+    need = _kernels.feedback_bytes(
+        rows, cols, config.n, config.k, config.feedback is FeedbackMode.BLACK_WHITE
+    )
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if table + features > physical:
+    if need > physical:
         raise CapacityError(
-            f"feedback table of {table} bytes, with {features} bytes of kernel "
-            f"features, exceeds physical memory of {physical} bytes"
+            f"feedback table of {rows} x {cols} ids needs {need} bytes of kernel "
+            f"features, buffers and output, over physical memory of {physical} bytes"
         )
 
 
@@ -309,13 +306,4 @@ class CodeSpace:
     def minimax_scores(self, indices: np.ndarray) -> np.ndarray:
         """Largest response bucket over the codes at indices, for every
         query (by index); shape (size,) int64."""
-        if len(indices) == 0:
-            return np.zeros(self.size, dtype=np.int64)
-        table = self.fid_table()
-        # gather the columns a block of rows at a time: a copy of the whole
-        # (size, len(indices)) slice would be the largest allocation of a game
-        rows = max(1, _kernels.CHUNK_CELLS // len(indices))
-        return np.concatenate([
-            _kernels.max_bucket_sizes(table[lo : lo + rows, indices], self.n_fids)
-            for lo in range(0, self.size, rows)
-        ])
+        return _kernels.column_max_buckets(self.fid_table(), indices, self.n_fids)

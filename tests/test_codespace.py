@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from querymind.codespace import (
     FeedbackMode,
     Repeats,
     VariantConfig,
+    check_table_memory,
     encode01,
     feedback,
     format_code,
@@ -232,6 +234,32 @@ class TestSplit:
         with pytest.raises(CapacityError, match="bytes of kernel features"):
             space.black_rows([0, 1, 2])
 
+
+    @pytest.mark.parametrize(
+        "config,rows",
+        [
+            (VariantConfig(6, 8, feedback=FeedbackMode.BLACK_ONLY), [0, 1, 2]),
+            (VariantConfig(4, 6), None),
+            (VariantConfig(5, 5), None),
+        ],
+        ids=["6-8-b-black-rows", "4-6-bw-table", "5-5-bw-table"],
+    )
+    def test_check_counts_every_kernel_transient(self, config, rows, monkeypatch):
+        # the one-hot, threshold and scaled arrays of the features and the
+        # product buffer are live at the kernel's peak: physical memory one
+        # byte below the traced peak must be refused
+        space = CodeSpace.enumerate(config)
+        tracemalloc.start()
+        try:
+            space.fid_table() if rows is None else space.black_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pages = {"SC_PHYS_PAGES": peak - 1, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr("querymind.codespace.os.sysconf", pages.__getitem__)
+        n_rows = space.size if rows is None else len(rows)
+        with pytest.raises(CapacityError):
+            check_table_memory(config, n_rows, space.size)
 
 def test_code_serialization_roundtrip():
     assert parse_code("1,2,3") == (1, 2, 3)

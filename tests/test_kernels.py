@@ -72,12 +72,16 @@ def test_max_bucket_sizes_memory_bounded_by_rows():
         VariantConfig(4, 4, feedback=FeedbackMode.BLACK_ONLY, repeats=Repeats.FORBIDDEN),
         VariantConfig(2, 4),
         VariantConfig(3, 3, repeats=Repeats.FORBIDDEN),
+        VariantConfig(3, 3),
+        VariantConfig(3, 1),
     ],
-    ids=["perm4-b", "2-4-bw", "3-3-norep-bw"],
+    ids=["perm4-b", "2-4-bw", "3-3-norep-bw", "3-3-bw", "3-1-bw"],
 )
 def test_fid_table_matches_scalar_feedback(cfg):
     space = CodeSpace.enumerate(cfg)
     table = space.fid_table()
+    # symmetric, so column_max_buckets may read the rows of S for table[:, S]
+    assert np.array_equal(table, table.T)
     blacks = space.black_rows(np.arange(space.size))
     for i, q in enumerate(space):
         for j, h in enumerate(space):
@@ -102,3 +106,39 @@ def test_black_white_table_built_in_one_array():
         q = space.decode(i)
         for j in (0, 777, space.size - 1):
             assert table[i, j] == space.fid_of(feedback(q, space.decode(j), space.config))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[5, 0, 17, 3], [4, 4, 9, 4, 0, 9], [], list(range(60))[::-1]],
+    ids=["unsorted", "repeated", "zero-rows", "all-reversed"],
+)
+@pytest.mark.parametrize("width", [0, 1, 137, 5000])
+def test_column_max_buckets_against_bincount(rows, width):
+    rng = np.random.default_rng(width)
+    table = rng.integers(0, 9, size=(60, width)).astype(np.int16)
+    rows = np.array(rows, dtype=np.int64)
+    out = _kernels.column_max_buckets(table, rows, 9)
+    assert out.dtype == np.int64 and out.shape == (width,)
+    want = [np.bincount(table[rows, j], minlength=9).max() if len(rows) else 0
+            for j in range(width)]
+    assert out.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        VariantConfig(5, 5, feedback=FeedbackMode.BLACK_ONLY, repeats=Repeats.FORBIDDEN),
+        VariantConfig(4, 4),
+    ],
+    ids=["perm5-b", "4-4-bw"],
+)
+def test_minimax_scores_against_column_reference(cfg):
+    space = CodeSpace.enumerate(cfg)
+    table = space.fid_table()
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 7, 40, space.size):
+        indices = rng.choice(space.size, size=m, replace=False)
+        for s in (indices, np.sort(indices)):
+            want = [np.bincount(table[q, s]).max() for q in range(space.size)]
+            assert space.minimax_scores(s).tolist() == want
