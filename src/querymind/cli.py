@@ -84,21 +84,19 @@ def _add_config_flags(p: argparse.ArgumentParser, mode_default: str = "adaptive"
     )
 
 
-def _add_common_flags(p: argparse.ArgumentParser, space_budget_help: str) -> None:
-    p.add_argument("--turn-budget", type=int, default=None, help="max turns (default n*k+1)")
-    p.add_argument("--space-budget", type=int, default=None, help=space_budget_help)
-    p.add_argument("--seed", type=int, default=0, help="seed for seeded choices")
+def _add_budget_flags(
+    p: argparse.ArgumentParser, command: str, turns: bool = True, note: str = ""
+) -> None:
+    """--space-budget of a _TABLE_BUDGETS command, and --turn-budget if the
+    command plays turns."""
+    if turns:
+        p.add_argument("--turn-budget", type=int, default=None, help="max turns (default n*k+1)")
     p.add_argument(
-        "--threads",
+        "--space-budget",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads where a command parallelizes (default: machine)",
+        default=None,
+        help=f"max code-space size (default {_TABLE_BUDGETS[command][0]}{note})",
     )
-    p.add_argument("--out", default=".", help="artifact directory (env QUERYMIND_OUT overrides)")
-
-
-def _budget_help(command: str, note: str = "") -> str:
-    return f"max code-space size (default {_TABLE_BUDGETS[command][0]}{note})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,27 +114,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help='hidden code as "1,2,3"; default: seeded uniform pick',
     )
-    _add_common_flags(p, _budget_help("solve"))
+    p.add_argument("--seed", type=int, default=0, help="seed of the hidden-code pick")
+    _add_budget_flags(p, "solve")
 
     p = sub.add_parser("worst-case", help="sweep every hidden code for a strategy")
     _add_config_flags(p)
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="minimax")
-    _add_common_flags(p, _budget_help("worst-case"))
+    _add_budget_flags(p, "worst-case")
 
     p = sub.add_parser("exact-value", help="exact optimal worst-case query count")
     _add_config_flags(p)
-    _add_common_flags(p, _budget_help("exact-value"))
+    _add_budget_flags(p, "exact-value")
 
     p = sub.add_parser("bounds", help="exact lower-bound report for (n, k)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--log-base", choices=["e", "2"], default="e")
-    p.add_argument("--out", default=".")
 
     p = sub.add_parser("adversary-trace", help="play against the max-bucket adversary")
     _add_config_flags(p)
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="minimax")
-    _add_common_flags(p, _budget_help("adversary-trace"))
+    _add_budget_flags(p, "adversary-trace")
 
     p = sub.add_parser(
         "nonadaptive-search", help="minimal identifiable non-adaptive query set"
@@ -148,18 +146,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check this query-set file instead of searching",
     )
-    _add_common_flags(
+    _add_budget_flags(
         p,
-        _budget_help(
-            "nonadaptive-search", f"; {DEFAULT_ENUMERATION_BUDGET} with --queries-file"
-        ),
+        "nonadaptive-search",
+        turns=False,
+        note=f"; {DEFAULT_ENUMERATION_BUDGET} with --queries-file",
     )
 
     p = sub.add_parser("entropy-audit", help="single-query response entropy")
     _add_config_flags(p, mode_default="nonadaptive")
     p.add_argument("--query", default=None, help="query code; default lex-first")
-    _add_common_flags(p, "not used: the audit enumerates no code space")
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--out", default=".", help="artifact directory (env QUERYMIND_OUT overrides)"
+        )
     return parser
 
 
@@ -248,9 +249,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
 def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
     space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     strategy = get_strategy(args.strategy)
-    result = engine.worst_case_queries(
-        strategy, space, turn_budget=args.turn_budget, threads=args.threads
-    )
+    result = engine.worst_case_queries(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "worst_case", args, "result", result.to_json())
     _write_csv(
         out / "worst_case.csv",

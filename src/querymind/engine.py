@@ -6,7 +6,6 @@ does not need to be queried, so query counts measure determination.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -179,7 +178,6 @@ def worst_case_queries(
     strategy: Strategy,
     space: CodeSpace,
     turn_budget: Optional[int] = None,
-    threads: Optional[int] = None,
 ) -> WorstCaseResult:
     """Queries needed to determine every hidden code, swept exhaustively.
 
@@ -188,16 +186,12 @@ def worst_case_queries(
     the per-code counts are identical to honest play.
     """
     budget = default_turn_budget(space.config) if turn_budget is None else turn_budget
+    if budget < 0:
+        raise DomainError(f"turn budget must be >= 0, got {budget}")
     per_code = np.full(space.size, -1, dtype=np.int64)
     per_code_win = np.full(space.size, -1, dtype=np.int64)
 
-    def walk(
-        indices: np.ndarray,
-        turns: list[Turn],
-        depth: int,
-        pool: Optional[ThreadPoolExecutor] = None,
-    ) -> None:
-        # only the root is given the pool: its buckets run in worker threads
+    def walk(indices: np.ndarray, turns: list[Turn], depth: int) -> None:
         if indices.size == 1:
             idx = int(indices[0])
             per_code[idx] = depth
@@ -209,19 +203,10 @@ def worst_case_queries(
         q = _next_query(strategy, turns, SolutionSet(space, indices))
         # a bucket equal to the whole set is allowed (e.g. a basis query that
         # grows the rank without splitting); the turn budget bounds recursion
-        children = [
-            (bucket, turns + [(q, r)], depth + 1)
-            for r, bucket in space.split(space.encode(q), indices)
-        ]
-        if pool is None:
-            for child in children:
-                walk(*child)
-        else:
-            for job in [pool.submit(walk, *child) for child in children]:
-                job.result()
+        for r, bucket in space.split(space.encode(q), indices):
+            walk(bucket, turns + [(q, r)], depth + 1)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads or 1)) as pool:
-        walk(np.arange(space.size, dtype=np.int64), [], 0, pool)
+    walk(np.arange(space.size, dtype=np.int64), [], 0)
 
     exhausted = [space.decode(int(i)) for i in np.flatnonzero(per_code < 0)]
     determined = per_code[per_code >= 0]

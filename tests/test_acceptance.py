@@ -6,7 +6,6 @@ The heavy sweeps are cached at module scope and reused across criteria.
 
 import itertools
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -34,8 +33,6 @@ from querymind.engine import DETERMINED, exact_game_value, play_adversarial, wor
 from querymind.nonadaptive import entropy_audit, min_nonadaptive_size
 from querymind.strategies import STRATEGY_NAMES, get_strategy
 
-THREADS = os.cpu_count() or 1
-
 _sweep_cache: dict = {}
 
 
@@ -43,7 +40,7 @@ def sweep(config, strategy_name):
     key = (config, strategy_name)
     if key not in _sweep_cache:
         _sweep_cache[key] = worst_case_queries(
-            get_strategy(strategy_name), CodeSpace.enumerate(config), threads=THREADS
+            get_strategy(strategy_name), CodeSpace.enumerate(config)
         )
     return _sweep_cache[key]
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -11,6 +12,45 @@ from querymind.nonadaptive import entropy_audit
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "3", "--k", "3", "--seed", "7"],
+            ["worst-case", "--n", "3", "--k", "3"],
+        ],
+        ids=["solve", "worst-case"],
+    )
+    def test_artifacts_do_not_depend_on_core_count(self, argv, tmp_path, monkeypatch):
+        digests = []
+        for cores in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            out = tmp_path / str(cores)
+            assert run([*argv, "--out", str(out)]) == 0
+            digests.append(
+                {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            )
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worst-case", "--threads", "2"],
+            ["exact-value", "--seed", "1"],
+            ["adversary-trace", "--seed", "1"],
+            ["nonadaptive-search", "--turn-budget", "3"],
+            ["entropy-audit", "--space-budget", "5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, argv, tmp_path):
+        # the other flags are valid for every command: only the flag is refused
+        command, *flag = argv
+        config = ["--n", "2", "--k", "2", "--repeats", "no"]
+        assert run([command, *config, *flag, "--out", str(tmp_path)]) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
@@ -291,6 +331,14 @@ class TestWorstCase:
         assert (env_dir / "worst_case.json").exists()
         assert not flag_dir.exists()
 
+    def test_negative_turn_budget_is_validation(self, tmp_path, capsys):
+        code = run(
+            ["worst-case", "--n", "3", "--k", "3", "--turn-budget", "-1", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "turn budget must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExactValue:
     def test_perm3(self, tmp_path, capsys):
@@ -436,48 +484,48 @@ class TestEntropyAudit:
 
 
 # sha256 of every artifact: a speedup must leave them byte-identical. Every
-# flag is explicit because the resolved spec, --threads included, is written
+# flag the command reads is explicit because the resolved spec is written
 # into the artifact.
 PINNED_ARTIFACTS = {
-    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 10 --space-budget 27 --seed 0 --threads 1": {
+    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 10 --space-budget 27": {
         "worst_case.csv": "9ca9e823a18f41677f021c128a462021ec5b7f2794bb94abc876bb1aa4a971a8",
-        "worst_case.json": "8ff0eed6ef57fff3d6f88f1b6873bccbbd938c99d2e621bf140bf23fb1bb862a",
+        "worst_case.json": "e7ff2fe283121671edf51426d54aad870f1411f91dd034db4b0e5601ade01996",
     },
-    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy basis --turn-budget 10 --space-budget 27 --seed 0 --threads 1": {
+    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy basis --turn-budget 10 --space-budget 27": {
         "worst_case.csv": "eda2b45243e05dec0fe8244a345ff1b260b824b40b491c8651bb6c14ebab1feb",
-        "worst_case.json": "86c509734c0f16cd125a6501d582d82fd62be303fb6a2fc4508e7eb7c92f30b9",
+        "worst_case.json": "734aef341530818d66863d5d606b2d3360ab7aec5714ae211b559158256fbbdc",
     },
-    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy first-consistent --turn-budget 10 --space-budget 27 --seed 0 --threads 1": {
+    "worst-case --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --strategy first-consistent --turn-budget 10 --space-budget 27": {
         "worst_case.csv": "04aaab40201354ff6ef37ade4a1fdae0cd8cf3bedfb188f0f028c700f376563a",
-        "worst_case.json": "265446b11ffe008e15f369f65924ad26deb944930345e7aea529875348471788",
+        "worst_case.json": "5149ff153d17ad786c286e1201e7aa08a3f1b467be5a621930d72d3784acf43b",
     },
-    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 17 --space-budget 24 --seed 0 --threads 1": {
+    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 17 --space-budget 24": {
         "worst_case.csv": "7128b584e76547b451a73b8c4bbc828a11d36cf6d0a319d7d7dfd26264929d36",
-        "worst_case.json": "31c515dfa83d1d274efc6f2209047a3ec4463a176b1fa68c0f1869cf1ef0ee32",
+        "worst_case.json": "35fd23db948a99229d0f099954e361e06654ee7e75aca053ab5043eae6f8219e",
     },
-    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy basis --turn-budget 17 --space-budget 24 --seed 0 --threads 1": {
+    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy basis --turn-budget 17 --space-budget 24": {
         "worst_case.csv": "cdf626fd4f4bdb8d217789ea6a7017f8e220ec0055b21d300bb7586e7d94139b",
-        "worst_case.json": "795a0d64e69a354c721d3c577f34026825ba505fd2799ea7108f36f05961fec8",
+        "worst_case.json": "e2c677dc9885c9e1cbf670b763b220bee5b15c1b09b1df224a86abbfeefbc902",
     },
-    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy first-consistent --turn-budget 17 --space-budget 24 --seed 0 --threads 1": {
+    "worst-case --n 4 --k 4 --feedback b --repeats no --mode adaptive --strategy first-consistent --turn-budget 17 --space-budget 24": {
         "worst_case.csv": "cb6dcfd284880bf882ea92809452af8ec7bdbea488e6f0961b2ffb99119d0ac6",
-        "worst_case.json": "e11d17429013b27ef57f4a0a054baf27e3398add4dfca066955defd2038a564c",
+        "worst_case.json": "d7b74fde6232ea33824e95efbacd58f676937a8aa91f9bf8f45388823a103c00",
     },
-    "adversary-trace --n 5 --k 5 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 26 --space-budget 120 --seed 0 --threads 1": {
+    "adversary-trace --n 5 --k 5 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 26 --space-budget 120": {
         "adversary_trace.csv": "2cb97c82671f0078d3c87800ecba6cbdc9d6b327d0ca8e54ab89b1ec53c9497c",
-        "adversary_trace.json": "d79bdeb4e37b8bf8638f4dede646642bfb32dfeb9fbca6c71d63b4b170f6b8a8",
+        "adversary_trace.json": "eb3b90e4b3fc239dfd64f544c51364f6b07f8a2a585d517e8d55023b237dc33d",
     },
-    "solve --n 4 --k 6 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 25 --space-budget 1296 --seed 1 --threads 1": {
-        "solve.json": "18e39f9f3c934fb82363104ae1158d501bcba187bc6f62b6c997f1d90cb62681",
+    "solve --n 4 --k 6 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 25 --space-budget 1296 --seed 1": {
+        "solve.json": "076c9135329395c4f6a2a63b286110263e71aa5a2ac1bad2d08348ca4986c178",
     },
-    "exact-value --n 4 --k 4 --feedback b --repeats no --mode adaptive --turn-budget 17 --space-budget 24 --seed 0 --threads 1": {
-        "exact_value.json": "47346b6544ad99a266d14f8a4080b919a63e21ae39d797a1940e77cdf8f1ae54",
+    "exact-value --n 4 --k 4 --feedback b --repeats no --mode adaptive --turn-budget 17 --space-budget 24": {
+        "exact_value.json": "b5f07ab758f8a933486fbcb66fe1ac5fae7809447ab66923b09168427d9b110f",
     },
-    "exact-value --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --turn-budget 10 --space-budget 27 --seed 0 --threads 1": {
-        "exact_value.json": "fab3df1bf04c6b997664cb13837f245af02b248025e4a8a285d679b09b9ca53c",
+    "exact-value --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --turn-budget 10 --space-budget 27": {
+        "exact_value.json": "1555bd0262062c9cf8d848043e7a17132ef8d714540808e97339a3ea2889487a",
     },
-    "exact-value --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --turn-budget 2 --space-budget 27 --seed 0 --threads 1": {
-        "exact_value.json": "25db7d1490494807035eb82e6c8e1c54047ab6d8bc3d2672bd1e3091fc9ae3c6",
+    "exact-value --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --turn-budget 2 --space-budget 27": {
+        "exact_value.json": "9d458fc8aaecee48418a49642fc26432ae5ad1723f553c6304819607f635eac5",
     },
 }
 

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -25,7 +27,13 @@ from querymind.engine import (
 import numpy as np
 
 from querymind.errors import DomainError, ProtocolError
-from querymind.strategies import SolutionSet, Strategy, filter_consistent, get_strategy
+from querymind.strategies import (
+    STRATEGY_NAMES,
+    SolutionSet,
+    Strategy,
+    filter_consistent,
+    get_strategy,
+)
 
 from conftest import perm_config
 
@@ -138,14 +146,17 @@ class TestWorstCase:
         assert wc.histogram == {1: 2}
         assert wc.histogram_win == {1: 1, 2: 1}
 
-    def test_tree_walk_matches_honest_play(self, perm3):
-        space = perm3
-        for name in ("minimax", "basis"):
+    def test_tree_walk_matches_honest_play(self, spaces):
+        configs = (perm_config(3), perm_config(4), VariantConfig(3, 3))
+        for config, name in itertools.product(configs, STRATEGY_NAMES):
+            space = spaces(config)
             wc = worst_case_queries(get_strategy(name), space)
             for idx, h in enumerate(space):
                 t = play_honest(get_strategy(name), h, space)
                 assert t.outcome == DETERMINED
-                assert wc.per_code[idx] == len(t.turns)
+                queried = any(q == h for q, _ in t.turns) or not t.turns
+                assert wc.per_code[idx] == len(t.turns), (config, name, h)
+                assert wc.per_code_win[idx] == len(t.turns) + (not queried), (config, name, h)
 
     def test_win_count_vs_determination(self, perm3):
         space = perm3
@@ -155,9 +166,9 @@ class TestWorstCase:
         assert sum(wc.histogram.values()) == 6
         assert sum(wc.histogram_win.values()) == 6
 
-    def test_threads_agree(self, perm3):
-        # results and errors must not depend on the thread count, the root
-        # (budget check, query validation) included
+    def test_zero_budget_and_invalid_root_query(self, perm3):
+        # the root is checked like every other node: budget first, then the
+        # strategy's query
         space = perm3
 
         class Bad(Strategy):
@@ -166,29 +177,32 @@ class TestWorstCase:
             def next_query(self, history, s):
                 return (9, 9, 9)
 
-        a = worst_case_queries(get_strategy("minimax"), space, threads=1)
-        for threads in (1, 2):
-            b = worst_case_queries(get_strategy("minimax"), space, threads=threads)
-            assert np.array_equal(a.per_code, b.per_code)
-            assert np.array_equal(a.per_code_win, b.per_code_win)
-            zero = worst_case_queries(
-                get_strategy("minimax"), space, turn_budget=0, threads=threads
-            )
-            assert zero.histogram == {}
-            assert len(zero.exhausted) == space.size
-            with pytest.raises(ProtocolError):
-                worst_case_queries(Bad(), space, threads=threads)
+        zero = worst_case_queries(get_strategy("minimax"), space, turn_budget=0)
+        assert zero.histogram == {}
+        assert len(zero.exhausted) == space.size
+        with pytest.raises(ProtocolError):
+            worst_case_queries(Bad(), space)
+
+    def test_negative_budget_rejected(self, perm3):
+        with pytest.raises(DomainError, match="turn budget must be >= 0"):
+            worst_case_queries(get_strategy("minimax"), perm3, turn_budget=-1)
 
     def test_basis_state_shared_by_many_threads(self):
-        # the basis strategy extends one query list from every worker thread
+        # 8 caller threads sweep with one basis strategy, which extends its
+        # query list under a lock
         space = CodeSpace.enumerate(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY))
-        expected = worst_case_queries(get_strategy("basis"), space, threads=1)
+        expected = worst_case_queries(get_strategy("basis"), space)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):
-                got = worst_case_queries(get_strategy("basis"), space, threads=8)
-                assert np.array_equal(got.per_code, expected.per_code)
+            for _ in range(5):
+                shared = get_strategy("basis")
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    jobs = [pool.submit(worst_case_queries, shared, space) for _ in range(8)]
+                    results = [job.result() for job in jobs]
+                for got in results:
+                    assert np.array_equal(got.per_code, expected.per_code)
+                    assert np.array_equal(got.per_code_win, expected.per_code_win)
         finally:
             sys.setswitchinterval(interval)
 

@@ -200,7 +200,7 @@ class TestBasisStrategy:
         # filtering isolates every code once the queries span: at most rank turns
         space = CodeSpace.enumerate(cfg)
         assert _rank(list(space), cfg) == rank
-        result = worst_case_queries(get_strategy("basis"), space, threads=1)
+        result = worst_case_queries(get_strategy("basis"), space)
         assert result.exhausted == []
         assert result.max_queries <= rank
 
