@@ -47,7 +47,6 @@ from .nonadaptive import (
     IdentifiabilityReport,
     QuerySet,
     entropy_audit,
-    greedy_query_set,
     is_identifiable,
     min_nonadaptive_size,
 )

@@ -31,6 +31,7 @@ from .codespace import (
     check_table_memory,
     format_code,
     parse_code,
+    stabiliser_bytes,
 )
 from .combinatorics import bound_report
 from .errors import (
@@ -212,17 +213,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _table_space(args: argparse.Namespace, config: VariantConfig) -> CodeSpace:
-    """The space of a command that builds the whole feedback table. The
-    command's space budget and the table's memory are checked first, so a
-    refused request costs no enumeration."""
+def _table_space(
+    args: argparse.Namespace, config: VariantConfig, extra_bytes: int = 0
+) -> CodeSpace:
+    """The space of a command that builds the whole feedback table and keeps
+    extra_bytes beside it. The command's space budget and the memory are
+    checked first, so a refused request costs no enumeration."""
     default, name = _TABLE_BUDGETS[args.command]
     budget = default if args.space_budget is None else args.space_budget
     if config.space_size > budget:
         raise CapacityError(
             f"space size {config.space_size} exceeds {name} budget {budget}"
         )
-    check_table_memory(config, config.space_size, config.space_size)
+    check_table_memory(config, config.space_size, config.space_size, extra_bytes)
     return CodeSpace.enumerate(config, budget)
 
 
@@ -272,7 +275,9 @@ def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
+    config = _config_from(args, Mode.ADAPTIVE)
+    # the solver keeps the symmetries of its root queries
+    space = _table_space(args, config, stabiliser_bytes(config))
     result = engine.exact_game_value(space, depth_cap=args.turn_budget)
     _write_result(out, "exact_value", args, "result", result.to_json())
     capped = " (depth cap reached)" if result.capped else ""

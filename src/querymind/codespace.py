@@ -160,21 +160,93 @@ def encode01(c: Code, config: VariantConfig) -> np.ndarray:
     return vec
 
 
-def check_table_memory(config: VariantConfig, rows: int, cols: int) -> None:
+# share of physical memory a search's memo may hold, and the bytes one entry
+# costs beside its key: the bytes header, the dict slot and spare slots
+MEMO_MEMORY_SHARE = 0.25
+MEMO_ENTRY_BYTES = 120
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_memo_memory(entries: int, key_bytes: int) -> None:
+    """Raise CapacityError once a memo of `entries` bytes keys totalling
+    key_bytes holds more than MEMO_MEMORY_SHARE of physical memory."""
+    need = key_bytes + entries * MEMO_ENTRY_BYTES
+    budget = int(MEMO_MEMORY_SHARE * _physical_memory())
+    if need > budget:
+        raise CapacityError(
+            f"memo of {entries} failed solution sets needs {need} bytes, over "
+            f"{budget} bytes ({MEMO_MEMORY_SHARE} of physical memory)"
+        )
+
+
+def check_table_memory(
+    config: VariantConfig, rows: int, cols: int, extra: int = 0
+) -> None:
     """Raise CapacityError unless _kernels.feedback_ids, building a (rows,
     cols) int16 table, fits in physical memory with every transient it
     holds (_kernels.feedback_bytes; black_rows builds black-only features in
-    either mode, so for it this is an upper bound). It needs no enumerated
-    codes, so a command that builds the whole table can check first."""
-    need = _kernels.feedback_bytes(
+    either mode, so for it this is an upper bound) and with `extra` bytes
+    the command keeps beside the table. It needs no enumerated codes, so a
+    command that builds the whole table can check first."""
+    need = extra + _kernels.feedback_bytes(
         rows, cols, config.n, config.k, config.feedback is FeedbackMode.BLACK_WHITE
     )
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    physical = _physical_memory()
     if need > physical:
         raise CapacityError(
             f"feedback table of {rows} x {cols} ids needs {need} bytes of kernel "
-            f"features, buffers and output, over physical memory of {physical} bytes"
+            f"features, buffers and output"
+            + (f" ({extra} of them beside the table)" if extra else "")
+            + f", over physical memory of {physical} bytes"
         )
+
+
+def _count_patterns(n: int, most: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into at most `parts` parts of size <= most, descending."""
+    if n == 0:
+        yield ()
+    elif parts > 0:
+        for first in range(min(n, most), 0, -1):
+            for rest in _count_patterns(n - first, first, parts - 1):
+                yield (first, *rest)
+
+
+def root_queries(config: VariantConfig) -> list[Code]:
+    """One code per orbit of the whole space under position permutations
+    combined with color relabelings, in ascending (lexicographic) order.
+
+    A code's orbit is fixed by its color-count pattern, the multiplicities
+    of its colors sorted descending: 1111, 1112, 1122, 1123 and 1234 on
+    (4,6), as in Knuth's "The computer as Master Mind" (1977). The code
+    listed, 1^c1 2^c2 ..., is the lowest of its orbit. Without repeats every
+    code has pattern 1^n, so the permutation game has a single orbit.
+    """
+    n, k = config.n, config.k
+    if config.repeats is Repeats.FORBIDDEN:
+        return [tuple(range(1, n + 1))]
+    return sorted(
+        tuple(color for color, count in enumerate(pattern, 1) for _ in range(count))
+        for pattern in _count_patterns(n, n, k)
+    )
+
+
+def stabiliser_bytes(config: VariantConfig) -> int:
+    """Bytes of the CodeSpace.stabiliser of every root query together; needs
+    no enumerated codes. For counts c_j of m colors a stabiliser has
+    prod c_j! times prod over s of (number of colors with count s)!
+    position permutations with a consistent color map, each with
+    1 + f(f-1)/2 maps of the f = k - m unused colors."""
+    rows = 0
+    for q in root_queries(config):
+        counts = [q.count(color) for color in sorted(set(q))]
+        sigmas = math.prod(math.factorial(c) for c in counts)
+        sigmas *= math.prod(math.factorial(counts.count(s)) for s in set(counts))
+        free = config.k - len(counts)
+        rows += sigmas * (1 + free * (free - 1) // 2)
+    return 4 * rows * config.space_size
 
 
 @dataclass
@@ -226,6 +298,61 @@ class CodeSpace:
         for i in range(self.size):
             yield self.decode(i)
 
+    def rank(self, codes: np.ndarray) -> np.ndarray:
+        """Index of each row of codes, all valid codes of this space; int64.
+
+        With repeats a code is the mixed-radix number sum (c_i - 1) k^(n-1-i).
+        Without, position i adds (colors below c_i unused before i) times
+        (k-i-1)!/(k-n)!, the number of codes that continue the same prefix
+        with a lower color at i.
+        """
+        n, k = self.config.n, self.config.k
+        digits = codes.astype(np.int64) - 1
+        if self.config.repeats is Repeats.ALLOWED:
+            return digits @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
+        index = np.zeros(len(digits), dtype=np.int64)
+        for i in range(n):
+            col = digits[:, i]
+            below = col - (digits[:, :i] < col[:, None]).sum(axis=1)
+            index += below * math.perm(k - i - 1, n - i - 1)
+        return index
+
+    def stabiliser(self, qi: int) -> np.ndarray:
+        """Symmetries of the space that fix the code at index qi, as index
+        permutations: row g maps code x to code g[x]; shape (|H|, size) int32.
+
+        A symmetry (sigma, tau) sends x to the code whose position i holds
+        tau(x[sigma(i)]); it preserves black and white pegs and the space.
+        The position permutations sigma are enumerated; tau is forced on
+        q's colors (where it must be a function) and, on the f colors q does
+        not use, is the identity or one transposition: 1 + f(f-1)/2 maps, not
+        all f! (12! for n = 1, k = 13). Every row is a symmetry fixing q,
+        which is all that exact_game_value's pruning needs; a chain of such
+        transpositions, each to a lower index, still puts the unused colors
+        of any code in order of first use. stabiliser_bytes counts the rows.
+        """
+        n, k = self.config.n, self.config.k
+        q = self.decode(qi)
+        free = [c for c in range(1, k + 1) if c not in q]
+        swaps = [(), *itertools.combinations(free, 2)]
+        forced_maps = []
+        for sigma in itertools.permutations(range(n)):
+            forced: dict[int, int] = {}
+            if all(forced.setdefault(q[s], c) == c for s, c in zip(sigma, q)):
+                forced_maps.append((sigma, forced))
+        out = np.empty((len(forced_maps) * len(swaps), self.size), dtype=np.int32)
+        tau = np.arange(k + 1, dtype=np.int16)
+        row = 0
+        for sigma, forced in forced_maps:
+            moved = self.codes[:, sigma]
+            for swap in swaps:
+                tau[:] = np.arange(k + 1)
+                tau[list(forced)] = list(forced.values())
+                tau[list(swap)] = swap[::-1]
+                out[row] = self.rank(tau[moved])
+                row += 1
+        return out
+
     # -- packed feedback ids ------------------------------------------------
 
     @property
@@ -234,6 +361,16 @@ class CodeSpace:
         if self.config.feedback is FeedbackMode.BLACK_WHITE:
             return (n + 1) * (n + 1)
         return n + 1
+
+    @functools.cached_property
+    def n_realised_fids(self) -> int:
+        """Number of feedback ids that occur in the table. Every code is g(r)
+        for a symmetry g (see stabiliser) and a root query r, and
+        feedback(g(r), x) = feedback(r, g^-1(x)), so the rows of
+        root_queries hold every id that occurs."""
+        rows = [self.encode(q) for q in root_queries(self.config)]
+        counts = np.bincount(self.fid_table()[rows].ravel(), minlength=self.n_fids)
+        return int(np.count_nonzero(counts))
 
     def fid_of(self, fb: Feedback) -> int:
         if self.config.feedback is FeedbackMode.BLACK_WHITE:

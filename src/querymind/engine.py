@@ -6,6 +6,7 @@ does not need to be queried, so query counts measure determination.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -16,7 +17,9 @@ from .codespace import (
     CodeSpace,
     Feedback,
     VariantConfig,
+    check_memo_memory,
     feedback,
+    root_queries,
     validate_code,
 )
 from .combinatorics import ceil_log
@@ -249,27 +252,57 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     Iterative deepening over one predicate, within(S, d): can some strategy
     determine every code of S in at most d queries? A singleton needs none;
     otherwise some query must split S into buckets that each pass at d - 1.
-    The value is the first d from the information floor ceil_log(n_fids, |S|)
-    up to the cap at which the root passes.
+    The value is the first d from the information floor ceil_log(b, |S|)
+    up to the cap at which the root passes. The base b is the number of
+    feedback ids that occur (CodeSpace.n_realised_fids, at least 2), not
+    n_fids: in the permutation game black = n - 1 never occurs, and
+    white = n - black adds nothing.
 
     Queries are tried in ascending minimax score (largest bucket), ties to
     the lowest index, as in Knuth's "The computer as Master Mind" (1977).
     The loop stops at the first query whose score is |S| (it does not split
     S) or whose largest bucket needs more than d - 1 queries by the floor
-    ceil_log(n_fids, score): scores only ascend, so no later query passes.
+    ceil_log(b, score): scores only ascend, so no later query passes.
+
+    Symmetry pruning. A symmetry g (CodeSpace.stabiliser: a position
+    permutation with a color relabeling) preserves feedback, so it maps a
+    strategy for S to one for g(S). Each node carries a set H of symmetries
+    that fix every query played on the way to it; they fix every response
+    bucket along the way too, so g(S) = S for each g in H. If query q passes
+    at S then so does g(q): g maps q's buckets onto g(q)'s and each bucket
+    onto a bucket with the same within. Hence the loop skips every query q
+    that some g in H maps to a lower index: if any query passes, the lowest
+    passing one is not skipped, and it comes before the stop above because
+    g(q) and q have equal scores. H need not be a group for this. The root
+    is fixed by every symmetry, so there only root_queries, one per orbit,
+    are tried; a root query's child gets its stabiliser, and every deeper
+    child the rows of H that fix the query played (kept as row numbers into
+    the root query's stabiliser, so no node copies it).
 
     One memo, failed[S] = the largest d at which S is known to fail. A
     strategy within d - 1 queries is also within d, so failure at d implies
     failure at every smaller depth, and a recorded d >= the asked depth
-    answers False.
+    answers False. Pruning does not change within(S, d), so neither does
+    the H a node was reached with. Past a share of physical memory,
+    check_memo_memory stops the search with a capacity error.
     """
     cap = default_turn_budget(space.config) if depth_cap is None else depth_cap
     if cap < 0:
         raise DomainError(f"depth cap must be >= 0, got {cap}")
-    n_fids = space.n_fids
+    roots = {space.encode(q) for q in root_queries(space.config)}
+    base = max(2, space.n_realised_fids)
     failed: dict[bytes, int] = {}
+    memo_key_bytes = 0
 
-    def within(indices: np.ndarray, depth: int) -> bool:
+    @functools.cache
+    def root_group(qi: int) -> tuple[np.ndarray, np.ndarray]:
+        table = space.stabiliser(qi)
+        return table, np.arange(len(table))
+
+    def within(indices: np.ndarray, depth: int, group: Optional[tuple]) -> bool:
+        """group: (stabiliser of the root query played, its rows that fix
+        every later query played); None at the root."""
+        nonlocal memo_key_bytes
         size = int(indices.size)
         if size == 1:
             return True
@@ -280,24 +313,39 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
         seen_partitions: set[tuple[bytes, ...]] = set()
         for qi in np.argsort(scores, kind="stable").tolist():
             score = int(scores[qi])
-            if score == size or ceil_log(n_fids, score) > depth - 1:
+            if score == size or ceil_log(base, score) > depth - 1:
                 break
+            if group is None:
+                if qi not in roots:
+                    continue
+            else:
+                table, rows = group
+                images = table[rows, qi]
+                if images.min() < qi:
+                    continue  # a symmetry of S maps qi to a lower query
             buckets = [bucket for _, bucket in space.split(qi, indices)]
             # one entry per bucket keeps the boundaries: [1,2],[3] != [1],[2,3]
             sig = tuple(bucket.tobytes() for bucket in buckets)
             if sig in seen_partitions:
                 continue  # identical partition already tried
             seen_partitions.add(sig)
+            child = root_group(qi) if group is None else (table, rows[images == qi])
             # biggest bucket first fails fastest
-            if all(within(b, depth - 1) for b in sorted(buckets, key=len, reverse=True)):
+            if all(
+                within(b, depth - 1, child)
+                for b in sorted(buckets, key=len, reverse=True)
+            ):
                 return True
+        if key not in failed:
+            memo_key_bytes += len(key)
+            check_memo_memory(len(failed) + 1, memo_key_bytes)
         failed[key] = depth
         return False
 
     root = np.arange(space.size, dtype=np.int64)
-    depth = ceil_log(n_fids, space.size)
+    depth = ceil_log(base, space.size)
     while depth <= cap:
-        if within(root, depth):
+        if within(root, depth, None):
             return ExactGameValue(depth, False)
         depth += 1
     return ExactGameValue(cap, True)

@@ -90,7 +90,8 @@ class IdentifiabilityReport:
 def _refine(labels: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
     """Dense class labels after one more query: two codes share a class iff
     they shared one before and the query's black-peg row agrees on them."""
-    return np.unique(labels * (n + 1) + row, return_inverse=True)[1]
+    keys = labels * (n + 1) + row
+    return np.cumsum(np.bincount(keys) > 0)[keys] - 1
 
 
 def _entropy_lb_or_none(config: VariantConfig) -> Optional[int]:
@@ -148,6 +149,19 @@ def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
     so the reported witness set is reproducible. Intended for tiny spaces.
     The walk is depth-first: each node refines its prefix's response
     classes by one query, so a leaf costs one bincount.
+
+    Two prunes keep the witness the first identifiable set of its size in
+    the order of itertools.combinations:
+    - The first query is index 0. A symmetry g of the space that preserves
+      black pegs maps an identifiable set onto an identifiable set, and
+      such symmetries act transitively on codes: without repeats a color
+      relabeling sends any injective code to any other, and with repeats
+      each position may relabel its colors on its own. So if some s-set is
+      identifiable, some s-set holding index 0 is, and the sets holding 0
+      come first among the s-sets.
+    - A node returns as soon as its largest class has more than
+      (n+1)**left codes: each query left splits a class into at most n + 1
+      black-peg counts.
     """
     config = space.config
     if space.size == 1:
@@ -158,8 +172,12 @@ def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
     def walk(chosen: list[int], labels: np.ndarray, left: int) -> Optional[list[int]]:
         """First identifiable extension of chosen by left queries of higher
         index, in the order of itertools.combinations; labels are chosen's
-        classes."""
-        start = chosen[-1] + 1 if chosen else 0
+        dense classes."""
+        if np.bincount(labels).max() > (n + 1) ** left:
+            return None
+        if left == 0:
+            return chosen
+        start = chosen[-1] + 1
         if left == 1:
             keys = labels * (n + 1)
             for qi in range(start, size):
@@ -172,36 +190,13 @@ def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
                 return found
         return None
 
+    first = _refine(np.zeros(size, dtype=np.int64), rows[0], n)
     for s in range(1, s_cap + 1):
-        found = walk([], np.zeros(size, dtype=np.int64), s)
+        found = walk([0], first, s - 1)
         if found is not None:
             queries = tuple(space.decode(i) for i in found)
             return MinSizeResult(s, False, QuerySet(config, queries))
     return MinSizeResult(None, True, None)
-
-
-def greedy_query_set(space: CodeSpace) -> QuerySet:
-    """Identifiable query set built greedily: each appended query minimizes
-    the number of still-unresolved code pairs, ties by lowest query index.
-    """
-    config = space.config
-    if space.size == 1:
-        return QuerySet(config, ())
-    rows = space.black_rows(np.arange(space.size))
-    # group labels of codes by their response prefix so far
-    labels = np.zeros(space.size, dtype=np.int64)
-    chosen: list[int] = []
-
-    def unresolved(lab: np.ndarray) -> int:
-        counts = np.bincount(lab)
-        return int((counts * (counts - 1) // 2).sum())
-
-    while unresolved(labels) > 0:
-        pairs = [unresolved(_refine(labels, row, config.n)) for row in rows]
-        best = int(np.argmin(pairs))  # ties go to the lowest query index
-        labels = _refine(labels, rows[best], config.n)
-        chosen.append(best)
-    return QuerySet(config, tuple(space.decode(i) for i in chosen))
 
 
 def entropy_audit(config: VariantConfig, q: Code) -> float:

@@ -67,7 +67,9 @@ def minimax_next(s: SolutionSet) -> Code:
     scores = s.space.minimax_scores(s.indices)
     best = scores.min()
     tied = np.flatnonzero(scores == best)
-    in_s = tied[np.isin(tied, s.indices, assume_unique=False)]
+    member = np.zeros(s.space.size, dtype=bool)
+    member[s.indices] = True
+    in_s = tied[member[tied]]
     chosen = int(in_s[0]) if in_s.size else int(tied[0])
     return s.space.decode(chosen)
 

@@ -5,8 +5,17 @@ import os
 
 import pytest
 
+from querymind import _kernels, codespace
 from querymind.cli import run
-from querymind.codespace import CodeSpace, FeedbackMode, Mode, Repeats, VariantConfig
+from querymind.codespace import (
+    CodeSpace,
+    FeedbackMode,
+    Mode,
+    Repeats,
+    VariantConfig,
+    stabiliser_bytes,
+)
+from querymind.errors import DomainError
 from querymind.nonadaptive import entropy_audit
 
 
@@ -354,6 +363,33 @@ class TestExactValue:
         payload = read_json(tmp_path / "exact_value.json")
         assert payload["result"] == {"value": 3, "capped": False}
 
+    @pytest.mark.parametrize("spare, code", [(-1, 2), (0, 1)], ids=["short", "fits"])
+    def test_stabilisers_count_in_memory_check(self, spare, code, tmp_path, capsys, monkeypatch):
+        # perm-7: the identity's 5040 symmetries take 97 MiB beside the table;
+        # one byte short of both is refused before enumerating
+        config = VariantConfig(7, 7, feedback=FeedbackMode.BLACK_ONLY, repeats=Repeats.FORBIDDEN)
+        need = _kernels.feedback_bytes(5040, 5040, 7, 7, False) + stabiliser_bytes(config)
+        assert stabiliser_bytes(config) == 4 * 5040 * 5040
+        pages = {"SC_PHYS_PAGES": need + spare, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr("querymind.codespace.os.sysconf", pages.__getitem__)
+
+        def reached(*args, **kwargs):
+            raise DomainError("enumerated")
+
+        monkeypatch.setattr(CodeSpace, "enumerate", reached)
+        argv = ["exact-value", "--n", "7", "--k", "7", "--repeats", "no", "--feedback", "b"]
+        assert run([*argv, "--space-budget", "5040", "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert ("beside the table" in err) == (code == 2)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memo_over_budget_is_capacity(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(codespace, "MEMO_MEMORY_SHARE", 1e-12)
+        argv = ["exact-value", "--n", "4", "--k", "4", "--repeats", "no", "--feedback", "b"]
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert "failed solution sets needs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_turn_budget_is_validation(self, tmp_path, capsys):
         code = run(
             ["exact-value", "--n", "3", "--k", "3", "--turn-budget", "-1", "--out", str(tmp_path)]
@@ -526,6 +562,13 @@ PINNED_ARTIFACTS = {
     },
     "exact-value --n 3 --k 3 --feedback bw --repeats yes --mode adaptive --turn-budget 2 --space-budget 27": {
         "exact_value.json": "9d458fc8aaecee48418a49642fc26432ae5ad1723f553c6304819607f635eac5",
+    },
+    "exact-value --n 3 --k 4 --feedback b --repeats yes --mode adaptive --turn-budget 13 --space-budget 64": {
+        "exact_value.json": "25999ced46089be3b8c8332ff5be5f145f8a9f92ea82c6fa684c0afdde346884",
+    },
+    "nonadaptive-search --n 2 --k 5 --feedback b --repeats yes --mode nonadaptive --s-cap 8 --space-budget 25": {
+        "nonadaptive_search.json": "87ba15ae1ed9b8a429a96a29a262edae4f4ae4283c7abce1fe5abdb5998a2a74",
+        "nonadaptive_search.queries": "441a13c680150a814041493b73ded51043a334f7f03726586b419b4c8a4eb834",
     },
 }
 

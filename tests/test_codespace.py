@@ -21,6 +21,8 @@ from querymind.codespace import (
     feedback,
     format_code,
     parse_code,
+    root_queries,
+    stabiliser_bytes,
 )
 from querymind.errors import CapacityError, DomainError, InvalidCodeError
 
@@ -125,6 +127,55 @@ class TestEnumerate:
         space = CodeSpace.enumerate(cfg)
         for i in range(space.size):
             assert space.encode(space.decode(i)) == i
+        assert space.rank(space.codes).tolist() == list(range(space.size))
+
+
+def _symmetry_configs():
+    for n, k in itertools.product(range(1, 5), range(1, 7)):
+        for repeats in Repeats:
+            if repeats is Repeats.FORBIDDEN and k < n:
+                continue
+            config = bw_config(n, k, repeats)
+            if config.space_size <= 400:
+                yield config
+
+
+class TestSymmetry:
+    def test_knuth_root_queries(self):
+        assert root_queries(bw_config(4, 6)) == [
+            (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 1, 2, 3), (1, 2, 3, 4)
+        ]
+        assert root_queries(perm_config(5)) == [(1, 2, 3, 4, 5)]
+        assert root_queries(bw_config(3, 2)) == [(1, 1, 1), (1, 1, 2)]
+
+    @pytest.mark.parametrize(
+        "config", list(_symmetry_configs()), ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}"
+    )
+    def test_stabilisers_of_root_queries(self, config):
+        # one root query per color-count pattern; every stabiliser row is a
+        # bijection of the space that fixes the query and keeps black and
+        # white pegs; stabiliser_bytes counts them before enumeration
+        space = CodeSpace.enumerate(config)
+        patterns = {tuple(sorted(map(c.count, set(c)))) for c in space}
+        roots = root_queries(config)
+        assert len(roots) == len(patterns)
+        table = space.fid_table()
+        total = 0
+        for q in roots:
+            qi = space.encode(q)
+            group = space.stabiliser(qi)
+            total += group.nbytes
+            assert group.dtype == np.int32 and (group[:, qi] == qi).all()
+            assert (np.sort(group, axis=1) == np.arange(space.size)).all()
+            for g in group:
+                assert np.array_equal(table[np.ix_(g, g)], table)
+        assert total == stabiliser_bytes(config)
+
+    def test_unused_colors_get_identity_and_transpositions(self):
+        # (1, 13): 1 + 12*11/2 maps of the 12 unused colors, not 12!
+        space = CodeSpace.enumerate(VariantConfig(1, 13))
+        assert space.stabiliser(0).shape == (67, 13)
+        assert stabiliser_bytes(VariantConfig(1, 13)) == 4 * 67 * 13
 
 
 class TestEncode01:

@@ -26,7 +26,8 @@ from querymind.engine import (
 )
 import numpy as np
 
-from querymind.errors import DomainError, ProtocolError
+from querymind import codespace
+from querymind.errors import CapacityError, DomainError, ProtocolError
 from querymind.strategies import (
     STRATEGY_NAMES,
     SolutionSet,
@@ -239,6 +240,17 @@ class TestExactGameValue:
         r = exact_game_value(space)
         wc = worst_case_queries(get_strategy("minimax"), space)
         assert r.value <= wc.max_queries
+
+    def test_perm6(self):
+        # the minimax sweep reaches 6 too, so the value is not higher
+        space = CodeSpace.enumerate(perm_config(6))
+        assert exact_game_value(space) == ExactGameValue(6, False)
+
+    def test_memo_over_budget_is_capacity(self, monkeypatch):
+        # perm-4 fails at depth 3 before it passes at 4, so it stores a set
+        monkeypatch.setattr(codespace, "MEMO_MEMORY_SHARE", 1e-12)
+        with pytest.raises(CapacityError, match="memo"):
+            exact_game_value(CodeSpace.enumerate(perm_config(4)))
 
 
 def brute_force_value(space: CodeSpace) -> int:

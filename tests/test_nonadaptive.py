@@ -17,7 +17,6 @@ from querymind.errors import DomainError
 from querymind.nonadaptive import (
     QuerySet,
     entropy_audit,
-    greedy_query_set,
     is_identifiable,
     min_nonadaptive_size,
 )
@@ -130,6 +129,7 @@ class TestMinSize:
             (2, 3, 3, None),
             (2, 4, 4, None),
             (2, 5, 6, "1,1 1,2 1,3 2,1 3,4 4,4"),
+            (2, 6, 7, "1,1 1,2 1,3 2,4 3,4 4,5 5,5"),
             (3, 2, 3, None),
             (4, 2, 4, None),
             (5, 2, 4, "1,1,1,1,1 1,1,1,2,2 1,1,2,1,2 1,2,1,1,2"),
@@ -143,20 +143,49 @@ class TestMinSize:
             assert res.query_set.queries == tuple(map(parse_code, witness.split()))
 
 
-class TestGreedy:
-    def test_identifiable_postcondition(self):
-        for n in (2, 3):
-            space = CodeSpace.enumerate(na_config(n))
-            qs = greedy_query_set(space)
-            assert is_identifiable(qs, space).identifiable
+def first_identifiable_set(space, s_cap):
+    """Reference: the first identifiable set of the least size, trying every
+    itertools.combinations of indices with no pruning, responses from the
+    scalar definition."""
+    codes = list(space)
+    rows = [[sum(a == b for a, b in zip(q, h)) for h in codes] for q in codes]
+    for s in range(1, s_cap + 1):
+        for combo in itertools.combinations(range(len(codes)), s):
+            responses = {tuple(rows[q][h] for q in combo) for h in range(len(codes))}
+            if len(responses) == len(codes):
+                return [codes[q] for q in combo]
+    return None
 
-    def test_perm3_size(self):
-        qs = greedy_query_set(CodeSpace.enumerate(na_config(3)))
-        assert qs.size == 4
 
-    def test_deterministic(self):
-        space = CodeSpace.enumerate(na_config(3))
-        assert greedy_query_set(space) == greedy_query_set(space)
+def _small_nonadaptive_configs():
+    for n in range(1, 5):
+        # with n = 1 the least set has k - 1 of the k codes
+        for k in range(2, 9 if n == 1 else 28):
+            for repeats in Repeats:
+                if repeats is Repeats.FORBIDDEN and k < n:
+                    continue
+                cfg = VariantConfig(
+                    n,
+                    k,
+                    feedback=FeedbackMode.BLACK_ONLY,
+                    repeats=repeats,
+                    mode=Mode.NON_ADAPTIVE,
+                )
+                if cfg.space_size <= 27:
+                    yield cfg
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    list(_small_nonadaptive_configs()),
+    ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}",
+)
+def test_min_size_matches_unpruned_combinations(cfg):
+    space = CodeSpace.enumerate(cfg)
+    res = min_nonadaptive_size(space, s_cap=space.size)
+    expected = first_identifiable_set(space, space.size)
+    assert not res.capped
+    assert list(res.query_set.queries) == expected
 
 
 class TestEntropy:
