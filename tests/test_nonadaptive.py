@@ -159,7 +159,7 @@ def first_identifiable_set(space, s_cap):
 
 def _small_nonadaptive_configs():
     for n in range(1, 5):
-        # with n = 1 the least set has k - 1 of the k codes
+        # with n = 1 the least set holds k - 1 codes: the reference tries ~2**k sets
         for k in range(2, 9 if n == 1 else 28):
             for repeats in Repeats:
                 if repeats is Repeats.FORBIDDEN and k < n:
