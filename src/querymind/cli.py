@@ -18,7 +18,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import engine, nonadaptive
 from .codespace import (
@@ -214,18 +214,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _table_space(
-    args: argparse.Namespace, config: VariantConfig, extra_bytes: int = 0
+    args: argparse.Namespace,
+    config: VariantConfig,
+    extra_bytes: Optional[Callable[[VariantConfig], int]] = None,
 ) -> CodeSpace:
     """The space of a command that builds the whole feedback table and keeps
-    extra_bytes beside it. The command's space budget and the memory are
-    checked first, so a refused request costs no enumeration."""
+    extra_bytes(config) bytes beside it. The command's space budget is
+    checked first, then the memory, so a refused request costs no
+    enumeration; extra_bytes is only called on a space within the budget."""
     default, name = _TABLE_BUDGETS[args.command]
     budget = default if args.space_budget is None else args.space_budget
     if config.space_size > budget:
         raise CapacityError(
             f"space size {config.space_size} exceeds {name} budget {budget}"
         )
-    check_table_memory(config, config.space_size, config.space_size, extra_bytes)
+    extra = 0 if extra_bytes is None else extra_bytes(config)
+    check_table_memory(config, config.space_size, config.space_size, extra)
     return CodeSpace.enumerate(config, budget)
 
 
@@ -277,7 +281,7 @@ def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
 def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
     config = _config_from(args, Mode.ADAPTIVE)
     # the solver keeps the symmetries of its root queries
-    space = _table_space(args, config, stabiliser_bytes(config))
+    space = _table_space(args, config, stabiliser_bytes)
     result = engine.exact_game_value(space, depth_cap=args.turn_budget)
     _write_result(out, "exact_value", args, "result", result.to_json())
     capped = " (depth cap reached)" if result.capped else ""

@@ -170,16 +170,25 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def check_memo_memory(entries: int, key_bytes: int) -> None:
-    """Raise CapacityError once a memo of `entries` bytes keys totalling
-    key_bytes holds more than MEMO_MEMORY_SHARE of physical memory."""
-    need = key_bytes + entries * MEMO_ENTRY_BYTES
-    budget = int(MEMO_MEMORY_SHARE * _physical_memory())
-    if need > budget:
-        raise CapacityError(
-            f"memo of {entries} failed solution sets needs {need} bytes, over "
-            f"{budget} bytes ({MEMO_MEMORY_SHARE} of physical memory)"
-        )
+class MemoMeter:
+    """Running size of a search's memo. The budget, MEMO_MEMORY_SHARE of
+    physical memory, is read once; add raises CapacityError past it."""
+
+    def __init__(self) -> None:
+        self.budget = int(MEMO_MEMORY_SHARE * _physical_memory())
+        self.entries = 0
+        self.bytes = 0
+
+    def add(self, key_bytes: int) -> None:
+        """Count one new entry whose key holds key_bytes bytes."""
+        self.entries += 1
+        self.bytes += key_bytes + MEMO_ENTRY_BYTES
+        if self.bytes > self.budget:
+            raise CapacityError(
+                f"memo of {self.entries} failed solution sets needs {self.bytes} "
+                f"bytes, over {self.budget} bytes ({MEMO_MEMORY_SHARE} of "
+                f"physical memory)"
+            )
 
 
 def check_table_memory(
@@ -255,7 +264,6 @@ class CodeSpace:
 
     config: VariantConfig
     codes: np.ndarray  # (size, n) int16, lexicographic rows
-    _index: dict = field(default_factory=dict, repr=False)
     _fid_table: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
@@ -277,17 +285,23 @@ class CodeSpace:
         codes = np.fromiter(
             itertools.chain.from_iterable(it), dtype=np.int16, count=size * config.n
         ).reshape(size, config.n)
-        space = cls(config=config, codes=codes)
-        space._index = {tuple(int(x) for x in row): i for i, row in enumerate(codes)}
-        return space
+        return cls(config=config, codes=codes)
 
     @property
     def size(self) -> int:
         return self.codes.shape[0]
 
     def encode(self, c: Code) -> int:
+        """Index of code c: rank's arithmetic on one code, in Python ints
+        (a numpy call per position would cost ten times the whole sum)."""
         validate_code(c, self.config)
-        return self._index[tuple(c)]
+        forbidden = self.config.repeats is Repeats.FORBIDDEN
+        index, used = 0, 0  # used: bit x set once color x is played
+        for x, w in zip(c, self._rank_weights):
+            index += (x - 1 - (used & ((1 << x) - 1)).bit_count()) * w
+            if forbidden:
+                used |= 1 << x
+        return index
 
     def decode(self, idx: int) -> Code:
         if not 0 <= idx < self.size:
@@ -298,24 +312,28 @@ class CodeSpace:
         for i in range(self.size):
             yield self.decode(i)
 
+    @functools.cached_property
+    def _rank_weights(self) -> tuple[int, ...]:
+        """Codes that continue a prefix of length i + 1: k^(n-1-i) with
+        repeats, (k-i-1)!/(k-n)! without."""
+        n, k = self.config.n, self.config.k
+        if self.config.repeats is Repeats.ALLOWED:
+            return tuple(k ** (n - 1 - i) for i in range(n))
+        return tuple(math.perm(k - i - 1, n - i - 1) for i in range(n))
+
     def rank(self, codes: np.ndarray) -> np.ndarray:
         """Index of each row of codes, all valid codes of this space; int64.
 
-        With repeats a code is the mixed-radix number sum (c_i - 1) k^(n-1-i).
-        Without, position i adds (colors below c_i unused before i) times
-        (k-i-1)!/(k-n)!, the number of codes that continue the same prefix
-        with a lower color at i.
+        Lexicographic rank: position i adds its digit times _rank_weights[i].
+        With repeats the digit is c_i - 1, a mixed-radix number; without,
+        it is the number of colors below c_i unused before i. encode does
+        the same for one code.
         """
-        n, k = self.config.n, self.config.k
         digits = codes.astype(np.int64) - 1
-        if self.config.repeats is Repeats.ALLOWED:
-            return digits @ (k ** np.arange(n - 1, -1, -1, dtype=np.int64))
-        index = np.zeros(len(digits), dtype=np.int64)
-        for i in range(n):
-            col = digits[:, i]
-            below = col - (digits[:, :i] < col[:, None]).sum(axis=1)
-            index += below * math.perm(k - i - 1, n - i - 1)
-        return index
+        if self.config.repeats is Repeats.FORBIDDEN:
+            for i in range(self.config.n - 1, 0, -1):
+                digits[:, i] -= (digits[:, :i] < digits[:, i : i + 1]).sum(axis=1)
+        return digits @ np.array(self._rank_weights, dtype=np.int64)
 
     def stabiliser(self, qi: int) -> np.ndarray:
         """Symmetries of the space that fix the code at index qi, as index

@@ -16,8 +16,8 @@ from .codespace import (
     Code,
     CodeSpace,
     Feedback,
+    MemoMeter,
     VariantConfig,
-    check_memo_memory,
     feedback,
     root_queries,
     validate_code,
@@ -283,8 +283,8 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     strategy within d - 1 queries is also within d, so failure at d implies
     failure at every smaller depth, and a recorded d >= the asked depth
     answers False. Pruning does not change within(S, d), so neither does
-    the H a node was reached with. Past a share of physical memory,
-    check_memo_memory stops the search with a capacity error.
+    the H a node was reached with. Past a share of physical memory
+    (MemoMeter), the search stops with a capacity error.
     """
     cap = default_turn_budget(space.config) if depth_cap is None else depth_cap
     if cap < 0:
@@ -292,7 +292,7 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     roots = {space.encode(q) for q in root_queries(space.config)}
     base = max(2, space.n_realised_fids)
     failed: dict[bytes, int] = {}
-    memo_key_bytes = 0
+    memo = MemoMeter()
 
     @functools.cache
     def root_group(qi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +302,6 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     def within(indices: np.ndarray, depth: int, group: Optional[tuple]) -> bool:
         """group: (stabiliser of the root query played, its rows that fix
         every later query played); None at the root."""
-        nonlocal memo_key_bytes
         size = int(indices.size)
         if size == 1:
             return True
@@ -337,8 +336,7 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
             ):
                 return True
         if key not in failed:
-            memo_key_bytes += len(key)
-            check_memo_memory(len(failed) + 1, memo_key_bytes)
+            memo.add(len(key))
         failed[key] = depth
         return False
 

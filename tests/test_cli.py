@@ -189,6 +189,23 @@ class TestExitCodes:
         assert f"space size {budget + 1} exceeds {name} budget {budget}" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_exact_value_budget_checked_before_counting_stabilisers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 100**100 codes: counting their root stabilisers would list the
+        # 190 M partitions of 100; the space budget refuses them first
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted the stabilisers of an over-budget space")
+
+        monkeypatch.setattr("querymind.cli.stabiliser_bytes", refuse)
+        monkeypatch.setattr(CodeSpace, "enumerate", refuse)
+        code = run(["exact-value", "--n", "100", "--k", "100", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"space size {100**100} exceeds exact-solver budget 360" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_search_table_beyond_physical_memory_is_capacity(self, tmp_path, capsys):
         # 8**6 = 262144 codes: the black-count rows of every query need 137 GB
         code = run(

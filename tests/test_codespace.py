@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from querymind import _kernels
+from querymind import _kernels, codespace
 from querymind.codespace import (
     CodeSpace,
     Feedback,
     FeedbackMode,
+    MemoMeter,
     Repeats,
     VariantConfig,
     check_table_memory,
@@ -269,6 +270,17 @@ class TestSplit:
         space = CodeSpace(config, np.ones((size, 1), dtype=np.int16))
         with pytest.raises(CapacityError):
             space.fid_table()
+
+    def test_memo_meter_reads_physical_memory_once(self, monkeypatch):
+        # 4096 bytes at share 1/4: eight 8-byte keys fit (8 * 128 bytes), a ninth does not
+        reads = []
+        monkeypatch.setattr(codespace, "_physical_memory", lambda: reads.append(1) or 4096)
+        meter = MemoMeter()
+        for _ in range(8):
+            meter.add(8)
+        with pytest.raises(CapacityError, match="memo of 9 failed solution sets"):
+            meter.add(8)
+        assert len(reads) == 1
 
     def test_kernel_features_count_against_physical_memory(self, monkeypatch):
         # the black-peg rows of 3 queries over the 8**6 codes of (6, 8) take
