@@ -51,8 +51,8 @@ EXIT_VALIDATION = 1
 EXIT_CAPACITY = 2
 EXIT_INVARIANT = 3
 
-# default --space-budget of each command that builds the whole feedback
-# table, and the name a refusal gives that budget
+# default --space-budget of each command that checks the memory of a whole
+# feedback table, and the name a refusal gives that budget
 _TABLE_BUDGETS = {
     "solve": (DEFAULT_ENUMERATION_BUDGET, "enumeration"),
     "worst-case": (5_000, "sweep"),
@@ -218,8 +218,9 @@ def _table_space(
     config: VariantConfig,
     extra_bytes: Optional[Callable[[VariantConfig], int]] = None,
 ) -> CodeSpace:
-    """The space of a command that builds the whole feedback table and keeps
-    extra_bytes(config) bytes beside it. The command's space budget is
+    """The space of a command whose feedback rows are bounded by a whole
+    size x size table (see check_table_memory) and that keeps
+    extra_bytes(config) bytes beside them. The command's space budget is
     checked first, then the memory, so a refused request costs no
     enumeration; extra_bytes is only called on a space within the budget."""
     default, name = _TABLE_BUDGETS[args.command]

@@ -22,6 +22,7 @@ from .errors import CapacityError, DomainError, InvalidCodeError
 Code = tuple[int, ...]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
+RANK_CELLS = 1 << 20  # key cells per block of CodeSpace.stabiliser rows
 
 
 class FeedbackMode(enum.Enum):
@@ -199,7 +200,16 @@ def check_table_memory(
     holds (_kernels.feedback_bytes; black_rows builds black-only features in
     either mode, so for it this is an upper bound) and with `extra` bytes
     the command keeps beside the table. It needs no enumerated codes, so a
-    command that builds the whole table can check first."""
+    command can check first.
+
+    The table commands check a whole (size, size) table, though only the
+    non-adaptive search builds one. A game or sweep holds rows of solution
+    sets below the root (strategies.SolutionSet): those of disjoint sets,
+    at most the largest bucket B of the first query, plus one copy of the
+    set being split. That stays within the table when B is at most half
+    the space (perm-7: 1855 of 5040 codes; (4,6): 256 of 1296), not for
+    n = 1 or n = 2 with many colors.
+    """
     need = extra + _kernels.feedback_bytes(
         rows, cols, config.n, config.k, config.feedback is FeedbackMode.BLACK_WHITE
     )
@@ -264,7 +274,7 @@ class CodeSpace:
 
     config: VariantConfig
     codes: np.ndarray  # (size, n) int16, lexicographic rows
-    _fid_table: Optional[np.ndarray] = field(default=None, repr=False)
+    _query_rows: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
     def enumerate(
@@ -348,27 +358,44 @@ class CodeSpace:
         which is all that exact_game_value's pruning needs; a chain of such
         transpositions, each to a lower index, still puts the unused colors
         of any code in order of first use. stabiliser_bytes counts the rows.
+
+        Rows are computed RANK_CELLS cells at a time from base-k keys
+        sum_i (y[i] - 1) k^(n-1-i): under (sigma, tau), color c at position
+        j of x adds (tau(c) - 1) k^(n-1-i) for i = sigma^-1(j), so an
+        image's key is n lookups in a per-row (n, k+1) table. With repeats
+        the key is the index; without, an array over the k^n keys, fewer
+        entries than the rows hold (k^n <= n! * size), maps keys to indices.
         """
         n, k = self.config.n, self.config.k
         q = self.decode(qi)
         free = [c for c in range(1, k + 1) if c not in q]
         swaps = [(), *itertools.combinations(free, 2)]
-        forced_maps = []
+        radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        weights = []  # per row, the key weight of color c at position j
         for sigma in itertools.permutations(range(n)):
             forced: dict[int, int] = {}
-            if all(forced.setdefault(q[s], c) == c for s, c in zip(sigma, q)):
-                forced_maps.append((sigma, forced))
-        out = np.empty((len(forced_maps) * len(swaps), self.size), dtype=np.int32)
-        tau = np.arange(k + 1, dtype=np.int16)
-        row = 0
-        for sigma, forced in forced_maps:
-            moved = self.codes[:, sigma]
+            if not all(forced.setdefault(q[s], c) == c for s, c in zip(sigma, q)):
+                continue
+            place = radix[np.argsort(sigma)][:, None]
             for swap in swaps:
-                tau[:] = np.arange(k + 1)
+                tau = np.arange(k + 1)
                 tau[list(forced)] = list(forced.values())
                 tau[list(swap)] = swap[::-1]
-                out[row] = self.rank(tau[moved])
-                row += 1
+                weights.append((tau - 1) * place)
+        index = None
+        if self.config.repeats is Repeats.FORBIDDEN:
+            index = np.zeros(k**n, dtype=np.int32)
+            index[(self.codes - 1) @ radix] = np.arange(self.size)
+        columns = [self.codes[:, j] for j in range(n)]
+        out = np.empty((len(weights), self.size), dtype=np.int32)
+        per_call = max(1, RANK_CELLS // self.size)
+        key_type = np.int32 if k**n < 2**31 else np.int64
+        for lo in range(0, len(weights), per_call):
+            table = np.array(weights[lo : lo + per_call], dtype=key_type)
+            key = table[:, 0, columns[0]]
+            for j in range(1, n):
+                key += table[:, j, columns[j]]
+            out[lo : lo + len(table)] = key if index is None else index[key]
         return out
 
     # -- packed feedback ids ------------------------------------------------
@@ -381,14 +408,51 @@ class CodeSpace:
         return n + 1
 
     @functools.cached_property
+    def _root_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of root_queries, ascending, and their feedback rows."""
+        roots = np.array([self.encode(q) for q in root_queries(self.config)])
+        return roots, self.feedback_rows(roots)
+
+    @functools.cached_property
     def n_realised_fids(self) -> int:
-        """Number of feedback ids that occur in the table. Every code is g(r)
-        for a symmetry g (see stabiliser) and a root query r, and
+        """Number of feedback ids that occur between two codes. Every code
+        is g(r) for a symmetry g (see stabiliser) and a root query r, and
         feedback(g(r), x) = feedback(r, g^-1(x)), so the rows of
         root_queries hold every id that occurs."""
-        rows = [self.encode(q) for q in root_queries(self.config)]
-        counts = np.bincount(self.fid_table()[rows].ravel(), minlength=self.n_fids)
+        counts = np.bincount(self._root_rows[1].ravel(), minlength=self.n_fids)
         return int(np.count_nonzero(counts))
+
+    def _orbit_roots(self) -> np.ndarray:
+        """Index of the root query in each code's orbit: 1^c1 2^c2 ... for
+        the code's color counts c1 >= c2 >= ... (see root_queries)."""
+        n = self.config.n
+        codes = self.codes
+        # how often each position's color occurs in its code, descending: a
+        # color used m times gives m entries m, so each run of equal entries
+        # m holds one color per m positions
+        mult = np.sort((codes[:, :, None] == codes[:, None, :]).sum(axis=2), axis=1)
+        mult = mult[:, ::-1]
+        pos = np.arange(n)
+        run_start = np.ones(mult.shape, dtype=bool)
+        run_start[:, 1:] = mult[:, 1:] != mult[:, :-1]
+        first = np.maximum.accumulate(np.where(run_start, pos, 0), axis=1)
+        new_color = (pos - first) % mult == 0
+        return self.rank(np.cumsum(new_color, axis=1))
+
+    @functools.cached_property
+    def _full_scores(self) -> np.ndarray:
+        """minimax_scores of the whole space, read-only. A symmetry g maps
+        the space onto itself and keeps feedback, so g(q) and q have the
+        same largest bucket: the scores are constant on orbits, and one
+        row per root query gives them all."""
+        roots, rows = self._root_rows
+        root_scores = _kernels.max_bucket_sizes(rows, self.n_fids)
+        if len(roots) == 1:
+            scores = np.full(self.size, root_scores[0])
+        else:
+            scores = root_scores[np.searchsorted(roots, self._orbit_roots())]
+        scores.flags.writeable = False
+        return scores
 
     def fid_of(self, fb: Feedback) -> int:
         if self.config.feedback is FeedbackMode.BLACK_WHITE:
@@ -413,52 +477,83 @@ class CodeSpace:
             raise CapacityError(f"{n_ids} feedback ids do not fit an int16 table")
         check_table_memory(self.config, rows, self.size)
 
-    def fid_table(self) -> np.ndarray:
-        """(size, size) table of packed feedback ids, row = query index.
+    @functools.cached_property
+    def _code_side(self) -> np.ndarray:
+        return _kernels.code_features(
+            self.codes, self.config.k, self.config.feedback is FeedbackMode.BLACK_WHITE
+        )
 
-        Raises CapacityError, before allocating, if the table and the
+    def feedback_rows(self, indices: Sequence[int]) -> np.ndarray:
+        """Packed feedback ids of the codes at indices, as queries, against
+        every code; shape (len(indices), size) int16. Feedback is symmetric,
+        so column j also holds code j's ids against the codes at indices.
+
+        Raises CapacityError, before allocating, if the rows and the
         kernel's features would not fit in the machine's physical memory
-        (check_table_memory), or if packed ids would not
-        fit int16 (only k = 1 spaces with n >= 181 black+white, or n >= 32768
-        black-only, get there); that limit also keeps the kernel exact.
+        (check_table_memory), or if packed ids would not fit int16 (only
+        k = 1 spaces with n >= 181 black+white, or n >= 32768 black-only,
+        get there); that limit also keeps the kernel exact. The code side of
+        the kernel is computed once per space.
         """
-        if self._fid_table is None:
-            self._check_table(self.size, self.n_fids)
-            self._fid_table = _kernels.feedback_ids(
-                self.codes,
-                self.codes,
-                self.config.k,
-                self.config.feedback is FeedbackMode.BLACK_WHITE,
-            )
-        return self._fid_table
+        self._check_table(len(indices), self.n_fids)
+        config = self.config
+        bw = config.feedback is FeedbackMode.BLACK_WHITE
+        side = self._code_side
+        queries = _kernels.query_features(side[indices], config.n, config.k, bw)
+        return _kernels.feedback_ids(
+            self.codes[indices], self.codes, config.k, bw, (queries, side)
+        )
+
+    def query_row(self, qi: int) -> np.ndarray:
+        """feedback_rows([qi])[0], kept for the last n*k queries asked: sets
+        without rows split by these, and basis plays at most n(k-1) + 1
+        distinct queries, each at many nodes."""
+        row = self._query_rows.get(qi)
+        if row is None:
+            if len(self._query_rows) >= self.config.n * self.config.k:
+                del self._query_rows[next(iter(self._query_rows))]
+            row = self._query_rows[qi] = self.feedback_rows([qi])[0]
+        return row
 
     def black_rows(self, qis: Sequence[int]) -> np.ndarray:
         """Black-peg counts of the queries at indices qis against every code,
         in either feedback mode; shape (len(qis), size) int16.
 
-        Raises CapacityError, before allocating, as fid_table does.
+        Raises CapacityError, before allocating, as feedback_rows does.
         """
         self._check_table(len(qis), self.config.n + 1)
         return _kernels.feedback_ids(self.codes[qis], self.codes, self.config.k, False)
+
+    def buckets(self, column: np.ndarray) -> list[tuple[Feedback, np.ndarray]]:
+        """Groups of equal packed ids in column, as (response, positions in
+        column) pairs in ascending id order; positions ascend in a group."""
+        if len(column) == 0:
+            return []
+        order = column.argsort(kind="stable")
+        fids = column[order].tolist()
+        cuts = [i for i in range(1, len(fids)) if fids[i] != fids[i - 1]]
+        feedbacks = self._feedbacks
+        return [
+            (feedbacks[fids[lo]], order[lo:hi])
+            for lo, hi in zip([0, *cuts], [*cuts, len(fids)])
+        ]
 
     def split(self, qi: int, indices: np.ndarray) -> list[tuple[Feedback, np.ndarray]]:
         """Non-empty response buckets of query index qi over the codes at
         indices, as (response, member indices) pairs in ascending packed-id
         order; each bucket keeps the order of indices."""
-        if len(indices) == 0:
-            return []
-        row = self.fid_table()[qi, indices]
-        order = row.argsort(kind="stable")
-        fids = row[order].tolist()
-        members = indices[order]
-        cuts = [i for i in range(1, len(fids)) if fids[i] != fids[i - 1]]
-        feedbacks = self._feedbacks
-        return [
-            (feedbacks[fids[lo]], members[lo:hi])
-            for lo, hi in zip([0, *cuts], [*cuts, len(fids)])
-        ]
+        column = self.query_row(qi)[indices]
+        return [(fb, indices[at]) for fb, at in self.buckets(column)]
 
-    def minimax_scores(self, indices: np.ndarray) -> np.ndarray:
-        """Largest response bucket over the codes at indices, for every
-        query (by index); shape (size,) int64."""
-        return _kernels.column_max_buckets(self.fid_table(), indices, self.n_fids)
+    def minimax_scores(
+        self, indices: np.ndarray, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Largest response bucket over the distinct codes at indices, for
+        every query (by index); shape (size,) int64. rows, if given, are
+        feedback_rows(indices). The whole space is scored from one row per
+        orbit (_full_scores, read-only), never from size rows."""
+        if len(indices) == self.size:
+            return self._full_scores
+        if rows is None:
+            rows = self.feedback_rows(indices)
+        return _kernels.column_max_buckets(rows, None, self.n_fids)

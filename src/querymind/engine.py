@@ -125,11 +125,9 @@ def adversary_feedback(s_prev: SolutionSet, q: Code) -> tuple[Feedback, Solution
     """
     if len(s_prev) < 1:
         raise DomainError("adversary needs a nonempty solution set")
-    space = s_prev.space
-    buckets = space.split(space.encode(q), s_prev.indices)
+    children = s_prev.split(s_prev.space.encode(q))
     # max keeps the first largest bucket: the smallest packed feedback id
-    r, bucket = max(buckets, key=lambda pair: len(pair[1]))
-    return r, SolutionSet(space, bucket)
+    return max(children, key=lambda pair: len(pair[1]))
 
 
 def play_adversarial(
@@ -194,22 +192,26 @@ def worst_case_queries(
     per_code = np.full(space.size, -1, dtype=np.int64)
     per_code_win = np.full(space.size, -1, dtype=np.int64)
 
-    def walk(indices: np.ndarray, turns: list[Turn], depth: int) -> None:
-        if indices.size == 1:
-            idx = int(indices[0])
+    def walk(s: SolutionSet, turns: list[Turn], depth: int) -> None:
+        if len(s) == 1:
+            idx = int(s.indices[0])
             per_code[idx] = depth
             queried = turns and space.encode(turns[-1][0]) == idx
             per_code_win[idx] = depth if (queried or depth == 0) else depth + 1
             return
         if depth >= budget:
             return  # left as -1: not determined within budget
-        q = _next_query(strategy, turns, SolutionSet(space, indices))
+        q = _next_query(strategy, turns, s)
         # a bucket equal to the whole set is allowed (e.g. a basis query that
-        # grows the rank without splitting); the turn budget bounds recursion
-        for r, bucket in space.split(space.encode(q), indices):
-            walk(bucket, turns + [(q, r)], depth + 1)
+        # grows the rank without splitting); the turn budget bounds recursion.
+        # Handing the rows down and popping each child before its walk keeps
+        # only rows of disjoint sets alive.
+        children = s.split(space.encode(q), hand_down=True)
+        while children:
+            r, child = children.pop(0)
+            walk(child, turns + [(q, r)], depth + 1)
 
-    walk(np.arange(space.size, dtype=np.int64), [], 0)
+    walk(SolutionSet.full(space), [], 0)
 
     exhausted = [space.decode(int(i)) for i in np.flatnonzero(per_code < 0)]
     determined = per_code[per_code >= 0]
@@ -299,16 +301,16 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
         table = space.stabiliser(qi)
         return table, np.arange(len(table))
 
-    def within(indices: np.ndarray, depth: int, group: Optional[tuple]) -> bool:
+    def within(s: SolutionSet, depth: int, group: Optional[tuple]) -> bool:
         """group: (stabiliser of the root query played, its rows that fix
         every later query played); None at the root."""
-        size = int(indices.size)
+        size = len(s)
         if size == 1:
             return True
-        key = indices.tobytes()
+        key = s.indices.tobytes()
         if failed.get(key, -1) >= depth:
             return False
-        scores = space.minimax_scores(indices)
+        scores = s.minimax_scores()
         seen_partitions: set[tuple[bytes, ...]] = set()
         for qi in np.argsort(scores, kind="stable").tolist():
             score = int(scores[qi])
@@ -322,9 +324,9 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
                 images = table[rows, qi]
                 if images.min() < qi:
                     continue  # a symmetry of S maps qi to a lower query
-            buckets = [bucket for _, bucket in space.split(qi, indices)]
+            buckets = [child for _, child in s.split(qi)]
             # one entry per bucket keeps the boundaries: [1,2],[3] != [1],[2,3]
-            sig = tuple(bucket.tobytes() for bucket in buckets)
+            sig = tuple(bucket.indices.tobytes() for bucket in buckets)
             if sig in seen_partitions:
                 continue  # identical partition already tried
             seen_partitions.add(sig)
@@ -340,7 +342,7 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
         failed[key] = depth
         return False
 
-    root = np.arange(space.size, dtype=np.int64)
+    root = SolutionSet.full(space)
     depth = ceil_log(base, space.size)
     while depth <= cap:
         if within(root, depth, None):

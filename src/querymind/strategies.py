@@ -13,8 +13,7 @@ the remaining solution set, then by lowest code-space index.
 """
 from __future__ import annotations
 
-import threading
-from fractions import Fraction
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,13 +25,26 @@ Turn = tuple[Code, Feedback]
 
 
 class SolutionSet:
-    """Immutable set of code-space indices consistent with a transcript."""
+    """Immutable set of code-space indices consistent with a transcript.
 
-    __slots__ = ("space", "indices")
+    A set scored by minimax holds the feedback rows of its codes
+    (CodeSpace.feedback_rows). Its children from split take their rows as
+    slices of these, never from the kernel, and since feedback ids are
+    symmetric the split by query q reads column q of the rows. Down a tree
+    each code's row is therefore computed once, by the first set below the
+    root that is scored. The whole space holds no rows: it is scored from
+    one row per orbit and split by the row of the query played
+    (CodeSpace.query_row), as is every set of a strategy that never scores.
+    """
+
+    __slots__ = ("space", "indices", "_rows", "_source")
 
     def __init__(self, space: CodeSpace, indices: np.ndarray) -> None:
         self.space = space
         self.indices = np.asarray(indices, dtype=np.int64)
+        self._rows: Optional[np.ndarray] = None
+        # (rows of a superset, positions of this set's codes among them)
+        self._source: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def full(cls, space: CodeSpace) -> "SolutionSet":
@@ -49,14 +61,63 @@ class SolutionSet:
             raise DomainError(f"solution set has {len(self)} members, not 1")
         return self.space.decode(int(self.indices[0]))
 
+    def rows(self) -> np.ndarray:
+        """Feedback rows of the codes of this set, (len, size) int16: sliced
+        from its parent's if it has them, else computed."""
+        if self._rows is None:
+            if self._source is None:
+                self._rows = self.space.feedback_rows(self.indices)
+            else:
+                block, at = self._source
+                self._rows = block[at]
+                self._source = None
+        return self._rows
+
+    def minimax_scores(self) -> np.ndarray:
+        """CodeSpace.minimax_scores of this set, from its rows."""
+        if len(self) == self.space.size:
+            return self.space.minimax_scores(self.indices)
+        return self.space.minimax_scores(self.indices, self.rows())
+
+    def split(
+        self, qi: int, hand_down: bool = False
+    ) -> list[tuple[Feedback, "SolutionSet"]]:
+        """Non-empty response buckets of query index qi, as (response,
+        child) pairs in ascending packed-id order; each child keeps the
+        order of indices.
+
+        If this set holds rows, children of two or more codes take slices
+        of them: when first scored, or at once with hand_down, after which
+        this set drops its own. A sweep hands down, so the rows it holds
+        belong to disjoint sets.
+        """
+        block, at = self._rows, None
+        if block is None and self._source is not None:
+            block, at = self._source
+        if block is None:
+            column = self.space.query_row(qi)[self.indices]
+        else:
+            column = block[:, qi] if at is None else block[at, qi]
+        children = []
+        for fb, pos in self.space.buckets(column):
+            child = SolutionSet(self.space, self.indices[pos])
+            if block is not None and len(pos) > 1:
+                child._source = (block, pos if at is None else at[pos])
+                if hand_down:
+                    child.rows()
+            children.append((fb, child))
+        if hand_down:
+            self._rows = self._source = None
+        return children
+
 
 def filter_consistent(s: SolutionSet, q: Code, r: Feedback) -> SolutionSet:
     """Members of s whose feedback to q equals r; may be empty."""
     space = s.space
     want = space.feedback_of_fid(space.fid_of(r))  # as split reports it
-    for fb, bucket in space.split(space.encode(q), s.indices):
+    for fb, child in s.split(space.encode(q)):
         if fb == want:
-            return SolutionSet(space, bucket)
+            return child
     return SolutionSet(space, s.indices[:0])
 
 
@@ -64,7 +125,7 @@ def minimax_next(s: SolutionSet) -> Code:
     """Minimum-score query; ties prefer members of s, then lowest index."""
     if len(s) < 2:
         raise DomainError("minimax needs at least 2 remaining candidates")
-    scores = s.space.minimax_scores(s.indices)
+    scores = s.minimax_scores()
     best = scores.min()
     tied = np.flatnonzero(scores == best)
     member = np.zeros(s.space.size, dtype=bool)
@@ -75,12 +136,18 @@ def minimax_next(s: SolutionSet) -> Code:
 
 
 class _RationalBasis:
-    """Incremental exact row-echelon basis over Q; it tracks the rank only."""
+    """Incremental exact row-echelon basis over Q; it tracks the rank only.
+
+    Elimination is fraction-free, in Python ints: against a stored row with
+    pivot p in column c, a vector becomes p * v - v[c] * row, then is divided
+    by the gcd of its entries. Each step is the rational step times a
+    nonzero factor, so every entry is zero exactly when it would be over Q,
+    and the pivots and rank decisions are those of rational elimination.
+    """
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.pivot_cols: list[int] = []
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
 
     @property
     def rank(self) -> int:
@@ -88,18 +155,19 @@ class _RationalBasis:
 
     def add(self, vec: np.ndarray) -> bool:
         """Insert vec if it lies outside the span; return whether it did."""
-        v = [Fraction(int(x)) for x in vec]
-        for row, col in zip(self.rows, self.pivot_cols):
-            coef = v[col] / row[col]
-            if coef:
-                for j in range(self.width):
-                    if row[j]:
-                        v[j] -= coef * row[j]
+        v = [int(x) for x in vec]
+        for col, row in self.rows:
+            a = v[col]
+            if a:
+                p = row[col]
+                v = [p * x - a * y for x, y in zip(v, row)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
         pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        self.rows.append(v)
-        self.pivot_cols.append(pivot)
+        self.rows.append((pivot, v))
         return True
 
 
@@ -170,23 +238,21 @@ class BasisStrategy(Strategy):
         self._queries: list[Code] = []
         self._marks: Optional[np.ndarray] = None
         self._basis: Optional[_RationalBasis] = None
-        self._lock = threading.Lock()
 
     def next_query(self, history: Sequence[Turn], s: SolutionSet) -> Code:
         space = s.space
         config = space.config
-        with self._lock:
-            if self._basis is None:
-                self._basis = _RationalBasis(config.n * config.k)
-                self._marks = np.zeros(space.size, dtype=bool)
-            while len(self._queries) <= len(history):
-                c = _first_outside_span(self._basis, space, self._marks)
-                if c is None:
-                    raise ContradictionError(
-                        "query span exhausted while multiple candidates remain"
-                    )
-                self._queries.append(c)
-            queries = self._queries[: len(history) + 1]
+        if self._basis is None:
+            self._basis = _RationalBasis(config.n * config.k)
+            self._marks = np.zeros(space.size, dtype=bool)
+        while len(self._queries) <= len(history):
+            c = _first_outside_span(self._basis, space, self._marks)
+            if c is None:
+                raise ContradictionError(
+                    "query span exhausted while multiple candidates remain"
+                )
+            self._queries.append(c)
+        queries = self._queries[: len(history) + 1]
         if any(tuple(q) != mine for (q, _), mine in zip(history, queries)):
             raise ProtocolError("history does not follow the basis query sequence")
         return queries[-1]

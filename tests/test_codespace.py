@@ -160,7 +160,7 @@ class TestSymmetry:
         patterns = {tuple(sorted(map(c.count, set(c)))) for c in space}
         roots = root_queries(config)
         assert len(roots) == len(patterns)
-        table = space.fid_table()
+        table = space.feedback_rows(np.arange(space.size))
         total = 0
         for q in roots:
             qi = space.encode(q)
@@ -177,6 +177,72 @@ class TestSymmetry:
         space = CodeSpace.enumerate(VariantConfig(1, 13))
         assert space.stabiliser(0).shape == (67, 13)
         assert stabiliser_bytes(VariantConfig(1, 13)) == 4 * 67 * 13
+
+
+def _score_configs():
+    for n, k in [(1, 1), (1, 4), (2, 1), (3, 1), (2, 3), (3, 3), (4, 3), (3, 4)]:
+        for repeats in Repeats:
+            for mode in FeedbackMode:
+                if repeats is Repeats.ALLOWED or k >= n:
+                    yield VariantConfig(n, k, feedback=mode, repeats=repeats)
+
+
+def _stabiliser_by_rank(space, qi):
+    """The stabiliser's rows by their definition: rank tau(x[sigma]) per
+    symmetry, in the order CodeSpace.stabiliser lists them."""
+    n, k = space.config.n, space.config.k
+    q = space.decode(qi)
+    free = [c for c in range(1, k + 1) if c not in q]
+    rows = []
+    for sigma in itertools.permutations(range(n)):
+        forced = {}
+        if not all(forced.setdefault(q[s], c) == c for s, c in zip(sigma, q)):
+            continue
+        for swap in [(), *itertools.combinations(free, 2)]:
+            tau = np.arange(k + 1)
+            tau[list(forced)] = list(forced.values())
+            tau[list(swap)] = swap[::-1]
+            rows.append(space.rank(tau[space.codes[:, sigma]]))
+    return np.array(rows, dtype=np.int32)
+
+
+class TestFeedbackRows:
+    @pytest.mark.parametrize(
+        "config",
+        list(_score_configs()),
+        ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}-{c.feedback.value}",
+    )
+    def test_full_space_scores_are_column_maxima(self, config):
+        # the whole space is scored from one row per orbit (root_queries);
+        # brute force counts every column of the scalar feedback table
+        space = CodeSpace.enumerate(config)
+        codes = list(space)
+        table = [[space.fid_of(feedback(q, x, config)) for x in codes] for q in codes]
+        want = [max(np.bincount(column)) for column in zip(*table)]
+        scores = space.minimax_scores(np.arange(space.size))
+        assert scores.dtype == np.int64 and scores.tolist() == want
+        assert not scores.flags.writeable
+        assert space.n_realised_fids == len({fid for row in table for fid in row})
+
+    @pytest.mark.parametrize("config", [bw_config(3, 3), perm_config(4)])
+    def test_query_rows_are_kept_for_n_times_k_queries(self, config):
+        space = CodeSpace.enumerate(config)
+        table = space.feedback_rows(np.arange(space.size))
+        for qi in [*range(space.size), 0]:
+            assert space.query_row(qi).tolist() == table[qi].tolist()
+            assert len(space._query_rows) <= config.n * config.k
+        assert space.query_row(space.size - 1) is space.query_row(space.size - 1)
+
+    @pytest.mark.parametrize(
+        "config",
+        [bw_config(3, 3), bw_config(3, 3, Repeats.FORBIDDEN), perm_config(5),
+         VariantConfig(1, 6), bw_config(2, 4)],
+        ids=["3-3", "3-3-norep", "perm5", "1-6", "2-4"],
+    )
+    def test_stabiliser_rows_equal_rank_of_each_symmetry(self, config):
+        space = CodeSpace.enumerate(config)
+        for qi in {0, space.size // 2, space.size - 1}:
+            assert np.array_equal(space.stabiliser(qi), _stabiliser_by_rank(space, qi))
 
 
 class TestEncode01:
@@ -210,7 +276,7 @@ class TestPermutationResponseGap:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_no_black_n_minus_1(self, n):
         space = CodeSpace.enumerate(perm_config(n))
-        assert not np.any(space.fid_table() == n - 1)
+        assert not np.any(space.feedback_rows(np.arange(space.size)) == n - 1)
 
 
 class TestSplit:
@@ -251,17 +317,18 @@ class TestSplit:
         # (180, 1) black+white has 181**2 ids, the most an int16 table holds
         space = CodeSpace.enumerate(VariantConfig(180, 1))
         assert space.fid_of(Feedback(180, 0)) == 32580
-        assert space.fid_table().tolist() == [[32580]]
+        assert space.feedback_rows(np.arange(space.size)).tolist() == [[32580]]
         black_only = CodeSpace.enumerate(
             VariantConfig(32767, 1, feedback=FeedbackMode.BLACK_ONLY)
         )
-        assert black_only.fid_table().tolist() == [[32767]]
+        assert black_only.feedback_rows(np.arange(black_only.size)).tolist() == [[32767]]
         for config in (
             VariantConfig(181, 1),
             VariantConfig(32768, 1, feedback=FeedbackMode.BLACK_ONLY),
         ):
+            big = CodeSpace.enumerate(config)
             with pytest.raises(CapacityError):
-                CodeSpace.enumerate(config).fid_table()
+                big.feedback_rows(np.arange(big.size))
 
     def test_table_beyond_physical_memory_is_capacity(self):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -269,7 +336,7 @@ class TestSplit:
         config = VariantConfig(1, 2, feedback=FeedbackMode.BLACK_ONLY)
         space = CodeSpace(config, np.ones((size, 1), dtype=np.int16))
         with pytest.raises(CapacityError):
-            space.fid_table()
+            space.feedback_rows(np.arange(space.size))
 
     def test_memo_meter_reads_physical_memory_once(self, monkeypatch):
         # 4096 bytes at share 1/4: eight 8-byte keys fit (8 * 128 bytes), a ninth does not
@@ -314,7 +381,7 @@ class TestSplit:
         space = CodeSpace.enumerate(config)
         tracemalloc.start()
         try:
-            space.fid_table() if rows is None else space.black_rows(rows)
+            space.feedback_rows(np.arange(space.size)) if rows is None else space.black_rows(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,7 +1,7 @@
 import functools
 import itertools
-import sys
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -188,24 +188,70 @@ class TestWorstCase:
         with pytest.raises(DomainError, match="turn budget must be >= 0"):
             worst_case_queries(get_strategy("minimax"), perm3, turn_budget=-1)
 
-    def test_basis_state_shared_by_many_threads(self):
-        # 8 caller threads sweep with one basis strategy, which extends its
-        # query list under a lock
-        space = CodeSpace.enumerate(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY))
-        expected = worst_case_queries(get_strategy("basis"), space)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+
+class RowMeter:
+    """Records every block of feedback rows that CodeSpace.feedback_rows
+    computes or SolutionSet.rows slices, and the most rows alive at once."""
+
+    def __init__(self, monkeypatch):
+        self.live = []  # weak references to the recorded blocks
+        self.most_live = 0
+        self.largest = 0
+        computed, sliced = CodeSpace.feedback_rows, SolutionSet.rows
+        monkeypatch.setattr(
+            CodeSpace, "feedback_rows", lambda space, qis: self.record(computed(space, qis))
+        )
+        monkeypatch.setattr(SolutionSet, "rows", lambda s: self.record(sliced(s)))
+
+    def record(self, block):
+        self.live = [ref for ref in self.live if ref() is not None]
+        if all(ref() is not block for ref in self.live):
+            self.live.append(weakref.ref(block))
+            self.largest = max(self.largest, len(block))
+            self.most_live = max(self.most_live, sum(len(ref()) for ref in self.live))
+        return block
+
+
+class TestRowBlocks:
+    """Games and sweeps hold feedback rows of solution sets, never the
+    size x size table."""
+
+    @pytest.fixture(scope="class")
+    def perm6(self):
+        return CodeSpace.enumerate(perm_config(6))
+
+    def test_games_compute_no_table(self, perm6, monkeypatch):
+        meter = RowMeter(monkeypatch)
+        for idx in (0, 359, 719):
+            t = play_honest(get_strategy("minimax"), perm6.decode(idx), perm6)
+            assert t.solution == perm6.decode(idx)
+        assert play_adversarial(get_strategy("minimax"), perm6).outcome == DETERMINED
+        # the largest block is the biggest bucket of the first query, the
+        # 265 derangements of 6; a game keeps one block and one slice
+        assert meter.largest == 265
+        assert meter.most_live < perm6.size
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_sweep_keeps_rows_of_disjoint_sets(self, perm6, monkeypatch, name):
+        meter = RowMeter(monkeypatch)
+        worst_case_queries(get_strategy(name), perm6)
+        assert meter.most_live <= perm6.size
+        if name != "minimax":
+            # strategies that never score compute single query rows
+            assert meter.largest <= 1
+
+    def test_no_allocation_near_the_table(self, perm6):
+        # the old table alone took size**2 int16; a minimax game now peaks
+        # at one block, its slice and the kernel's 256-row product buffer
+        table_bytes = 2 * perm6.size**2
+        space = CodeSpace.enumerate(perm6.config)
+        tracemalloc.start()
         try:
-            for _ in range(5):
-                shared = get_strategy("basis")
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    jobs = [pool.submit(worst_case_queries, shared, space) for _ in range(8)]
-                    results = [job.result() for job in jobs]
-                for got in results:
-                    assert np.array_equal(got.per_code, expected.per_code)
-                    assert np.array_equal(got.per_code_win, expected.per_code_win)
+            play_adversarial(get_strategy("minimax"), space)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            sys.setswitchinterval(interval)
+            tracemalloc.stop()
+        assert peak < table_bytes + 4 * 256 * perm6.size
 
 
 class TestExactGameValue:

@@ -79,7 +79,7 @@ def test_max_bucket_sizes_memory_bounded_by_rows():
 )
 def test_fid_table_matches_scalar_feedback(cfg):
     space = CodeSpace.enumerate(cfg)
-    table = space.fid_table()
+    table = space.feedback_rows(np.arange(space.size))
     # symmetric, so column_max_buckets may read the rows of S for table[:, S]
     assert np.array_equal(table, table.T)
     blacks = space.black_rows(np.arange(space.size))
@@ -97,7 +97,7 @@ def test_black_white_table_built_in_one_array():
     space = CodeSpace.enumerate(VariantConfig(5, 5))
     tracemalloc.start()
     try:
-        table = space.fid_table()
+        table = space.feedback_rows(np.arange(space.size))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -135,7 +135,7 @@ def test_column_max_buckets_against_bincount(rows, width):
 )
 def test_minimax_scores_against_column_reference(cfg):
     space = CodeSpace.enumerate(cfg)
-    table = space.fid_table()
+    table = space.feedback_rows(np.arange(space.size))
     rng = np.random.default_rng(3)
     for m in (1, 2, 7, 40, space.size):
         indices = rng.choice(space.size, size=m, replace=False)

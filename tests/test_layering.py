@@ -1,5 +1,5 @@
-"""The feedback table is read only through CodeSpace (split, minimax_scores,
-black_rows), so replacing it changes one module; and the searches take an
+"""Feedback ids are computed only by CodeSpace (feedback_rows, query_row,
+black_rows), so changing how changes one module; and the searches take an
 enumerated CodeSpace, so only the CLI decides how large a space may be."""
 from pathlib import Path
 
@@ -15,7 +15,7 @@ PACKAGE = Path(querymind.__file__).parent
 )
 def test_module_does_not_reach_the_table(module):
     source = (PACKAGE / module).read_text()
-    assert "fid_table" not in source
+    assert "feedback_ids" not in source
     assert "_kernels" not in source
 
 

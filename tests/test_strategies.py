@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +86,46 @@ class TestFilterConsistent:
                 assert len(filter_consistent(s, q, Feedback(r))) <= bucket_size(3, r)
 
 
+class TestSolutionSetRows:
+    @pytest.mark.parametrize(
+        "cfg", [VariantConfig(3, 3), perm_config(4)], ids=["3-3-bw", "perm4-b"]
+    )
+    def test_children_slice_the_rows_of_their_codes(self, cfg):
+        space = CodeSpace.enumerate(cfg)
+        table = space.feedback_rows(np.arange(space.size))
+        parent = SolutionSet(space, np.arange(1, space.size, 2))
+        assert np.array_equal(parent.rows(), table[parent.indices])
+        for qi in (0, 5, space.size - 1):
+            children = parent.split(qi)
+            assert [fb for fb, _ in children] == [fb for fb, _ in space.split(qi, parent.indices)]
+            for _, child in children:
+                # a grandchild of a child that was never scored slices too
+                for _, grandchild in child.split(1):
+                    assert np.array_equal(grandchild.rows(), table[grandchild.indices])
+                assert np.array_equal(child.rows(), table[child.indices])
+        assert np.array_equal(parent.rows(), table[parent.indices])
+
+    def test_hand_down_leaves_rows_only_with_the_children(self, perm3):
+        cfg, space = perm3
+        table = space.feedback_rows(np.arange(space.size))
+        parent = SolutionSet(space, [0, 1, 2, 3, 4])
+        parent.rows()
+        children = parent.split(0, hand_down=True)
+        assert parent._rows is None and parent._source is None
+        for _, child in children:
+            if len(child) > 1:
+                assert child._source is None
+                assert np.array_equal(child._rows, table[child.indices])
+
+    def test_whole_space_holds_no_rows(self):
+        space = CodeSpace.enumerate(VariantConfig(4, 4))
+        s = SolutionSet.full(space)
+        minimax_next(s)
+        children = s.split(0)
+        assert s._rows is None
+        assert all(child._rows is None and child._source is None for _, child in children)
+
+
 class TestMinimax:
     def test_singleton_scores_one(self, perm3):
         cfg, space = perm3
@@ -118,7 +159,7 @@ class TestMinimax:
         # scoring the full set must not copy the whole table slice at once
         cfg = VariantConfig(5, 5)
         space = CodeSpace.enumerate(cfg)
-        table = space.fid_table()
+        table = space.feedback_rows(np.arange(space.size))
         tracemalloc.start()
         try:
             q = minimax_next(SolutionSet.full(space))
@@ -146,6 +187,10 @@ class TestMinimax:
             minimax_next(SolutionSet(space, [2]))
 
 
+def _matrix_rank(vectors) -> int:
+    return int(np.linalg.matrix_rank(np.array(vectors, dtype=float))) if vectors else 0
+
+
 def _rank(codes, cfg) -> int:
     return int(np.linalg.matrix_rank(np.array([encode01(c, cfg) for c in codes], dtype=float)))
 
@@ -165,6 +210,35 @@ class TestRationalBasis:
         assert basis.add(encode01((1, 1), cfg))
         assert not basis.add(encode01((1, 1), cfg))
         assert basis.rank == 1
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decisions_match_fraction_elimination(self, seed):
+        # fraction-free integer elimination keeps exactly the vectors that
+        # rational elimination keeps, also for vectors with large entries
+        # and for combinations of earlier ones
+        rng = np.random.default_rng(seed)
+        width = 7
+        basis = _RationalBasis(width)
+        rows, pivots = [], []
+        kept = []
+        for step in range(60):
+            if kept and step % 3 == 0:
+                coefs = rng.integers(-3, 4, size=len(kept))
+                vec = np.array(kept).T @ coefs
+            else:
+                vec = rng.integers(-2, 3, size=width) * rng.choice([1, 1, 1, 7919])
+            v = [Fraction(int(x)) for x in vec]
+            for row, col in zip(rows, pivots):
+                coef = v[col] / row[col]
+                v = [x - coef * y for x, y in zip(v, row)]
+            pivot = next((j for j, x in enumerate(v) if x), None)
+            if pivot is not None:
+                rows.append(v)
+                pivots.append(pivot)
+                kept.append(vec)
+            assert basis.add(vec) == (pivot is not None)
+        assert basis.rank == len(rows) == _matrix_rank(kept)
 
 
 class TestBasisStrategy:
