@@ -22,7 +22,7 @@ from .errors import CapacityError, DomainError, InvalidCodeError
 Code = tuple[int, ...]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-RANK_CELLS = 1 << 20  # key cells per block of CodeSpace.stabiliser rows
+KEY_CELLS = 1 << 20  # key cells per block of CodeSpace.stabiliser rows
 
 
 class FeedbackMode(enum.Enum):
@@ -359,7 +359,7 @@ class CodeSpace:
         transpositions, each to a lower index, still puts the unused colors
         of any code in order of first use. stabiliser_bytes counts the rows.
 
-        Rows are computed RANK_CELLS cells at a time from base-k keys
+        Rows are computed KEY_CELLS cells at a time from base-k keys
         sum_i (y[i] - 1) k^(n-1-i): under (sigma, tau), color c at position
         j of x adds (tau(c) - 1) k^(n-1-i) for i = sigma^-1(j), so an
         image's key is n lookups in a per-row (n, k+1) table. With repeats
@@ -370,28 +370,34 @@ class CodeSpace:
         q = self.decode(qi)
         free = [c for c in range(1, k + 1) if c not in q]
         swaps = [(), *itertools.combinations(free, 2)]
-        radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        weights = []  # per row, the key weight of color c at position j
+        forced_maps = []
         for sigma in itertools.permutations(range(n)):
             forced: dict[int, int] = {}
-            if not all(forced.setdefault(q[s], c) == c for s, c in zip(sigma, q)):
-                continue
-            place = radix[np.argsort(sigma)][:, None]
-            for swap in swaps:
-                tau = np.arange(k + 1)
-                tau[list(forced)] = list(forced.values())
-                tau[list(swap)] = swap[::-1]
-                weights.append((tau - 1) * place)
+            if all(forced.setdefault(q[s], c) == c for s, c in zip(sigma, q)):
+                forced_maps.append((sigma, forced))
+        radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+        def weights() -> Iterator[np.ndarray]:
+            """Per row, the key weight of color c at position j."""
+            for sigma, forced in forced_maps:
+                place = radix[[sigma.index(i) for i in range(n)]][:, None]
+                for swap in swaps:
+                    tau = np.arange(k + 1)
+                    tau[list(forced)] = list(forced.values())
+                    tau[list(swap)] = swap[::-1]
+                    yield (tau - 1) * place
+
         index = None
         if self.config.repeats is Repeats.FORBIDDEN:
             index = np.zeros(k**n, dtype=np.int32)
             index[(self.codes - 1) @ radix] = np.arange(self.size)
         columns = [self.codes[:, j] for j in range(n)]
-        out = np.empty((len(weights), self.size), dtype=np.int32)
-        per_call = max(1, RANK_CELLS // self.size)
+        out = np.empty((len(forced_maps) * len(swaps), self.size), dtype=np.int32)
+        per_call = max(1, KEY_CELLS // self.size)
         key_type = np.int32 if k**n < 2**31 else np.int64
-        for lo in range(0, len(weights), per_call):
-            table = np.array(weights[lo : lo + per_call], dtype=key_type)
+        tables = weights()
+        for lo in range(0, len(out), per_call):
+            table = np.array(list(itertools.islice(tables, per_call)), dtype=key_type)
             key = table[:, 0, columns[0]]
             for j in range(1, n):
                 key += table[:, j, columns[j]]
@@ -422,35 +428,27 @@ class CodeSpace:
         counts = np.bincount(self._root_rows[1].ravel(), minlength=self.n_fids)
         return int(np.count_nonzero(counts))
 
-    def _orbit_roots(self) -> np.ndarray:
-        """Index of the root query in each code's orbit: 1^c1 2^c2 ... for
-        the code's color counts c1 >= c2 >= ... (see root_queries)."""
+    def _patterns(self, codes: np.ndarray) -> np.ndarray:
+        """Color-count pattern of each code: entry m - 1 counts the positions
+        whose color the code uses m times, so it is m times the number of
+        colors used m times; shape (len(codes), n)."""
         n = self.config.n
-        codes = self.codes
-        # how often each position's color occurs in its code, descending: a
-        # color used m times gives m entries m, so each run of equal entries
-        # m holds one color per m positions
-        mult = np.sort((codes[:, :, None] == codes[:, None, :]).sum(axis=2), axis=1)
-        mult = mult[:, ::-1]
-        pos = np.arange(n)
-        run_start = np.ones(mult.shape, dtype=bool)
-        run_start[:, 1:] = mult[:, 1:] != mult[:, :-1]
-        first = np.maximum.accumulate(np.where(run_start, pos, 0), axis=1)
-        new_color = (pos - first) % mult == 0
-        return self.rank(np.cumsum(new_color, axis=1))
+        uses = (codes[:, :, None] == codes[:, None, :]).sum(axis=2)
+        return (uses[:, :, None] == np.arange(1, n + 1)).sum(axis=1)
 
     @functools.cached_property
     def _full_scores(self) -> np.ndarray:
         """minimax_scores of the whole space, read-only. A symmetry g maps
         the space onto itself and keeps feedback, so g(q) and q have the
-        same largest bucket: the scores are constant on orbits, and one
-        row per root query gives them all."""
+        same largest bucket: the scores are constant on orbits, one per
+        color-count pattern, and one row per root query gives them all."""
         roots, rows = self._root_rows
         root_scores = _kernels.max_bucket_sizes(rows, self.n_fids)
-        if len(roots) == 1:
-            scores = np.full(self.size, root_scores[0])
-        else:
-            scores = root_scores[np.searchsorted(roots, self._orbit_roots())]
+        scores = np.full(self.size, root_scores[0])
+        if len(roots) > 1:
+            patterns = self._patterns(self.codes)
+            for pattern, score in zip(self._patterns(self.codes[roots]), root_scores):
+                scores[(patterns == pattern).sum(axis=1) == self.config.n] = score
         scores.flags.writeable = False
         return scores
 
