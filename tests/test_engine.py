@@ -232,7 +232,7 @@ class TestRowBlocks:
         assert meter.most_live < perm6.size
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
-    def test_sweep_keeps_rows_of_disjoint_sets(self, perm6, monkeypatch, name):
+    def test_sweep_live_rows_stay_within_the_space(self, perm6, monkeypatch, name):
         meter = RowMeter(monkeypatch)
         worst_case_queries(get_strategy(name), perm6)
         assert meter.most_live <= perm6.size
