@@ -275,6 +275,7 @@ class CodeSpace:
     config: VariantConfig
     codes: np.ndarray  # (size, n) int16, lexicographic rows
     _query_rows: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _asked: set[int] = field(default_factory=set, repr=False)
 
     @classmethod
     def enumerate(
@@ -481,10 +482,13 @@ class CodeSpace:
             self.codes, self.config.k, self.config.feedback is FeedbackMode.BLACK_WHITE
         )
 
-    def feedback_rows(self, indices: Sequence[int]) -> np.ndarray:
+    def feedback_rows(
+        self, indices: Sequence[int], cols: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Packed feedback ids of the codes at indices, as queries, against
-        every code; shape (len(indices), size) int16. Feedback is symmetric,
-        so column j also holds code j's ids against the codes at indices.
+        every code, or against the codes at cols; shape (len(indices), size
+        or len(cols)) int16. Feedback is symmetric, so column j also holds
+        code j's ids against the codes at indices.
 
         Raises CapacityError, before allocating, if the rows and the
         kernel's features would not fit in the machine's physical memory
@@ -498,20 +502,29 @@ class CodeSpace:
         bw = config.feedback is FeedbackMode.BLACK_WHITE
         side = self._code_side
         queries = _kernels.query_features(side[indices], config.n, config.k, bw)
-        return _kernels.feedback_ids(
-            self.codes[indices], self.codes, config.k, bw, (queries, side)
-        )
+        codes = self.codes if cols is None else self.codes[cols]
+        side = side if cols is None else side[cols]
+        return _kernels.feedback_ids(self.codes[indices], codes, config.k, bw, (queries, side))
 
-    def query_row(self, qi: int) -> np.ndarray:
-        """feedback_rows([qi])[0], kept for the last n*k queries asked: sets
-        without rows split by these, and basis plays at most n(k-1) + 1
-        distinct queries, each at many nodes."""
+    def query_column(self, qi: int, indices: np.ndarray) -> np.ndarray:
+        """Packed ids of query qi against the codes at indices; shape
+        (len(indices),) int16. Sets without rows split by these.
+
+        The first ask of qi over part of the space computes only those ids.
+        From its second ask, or over the whole space, qi's whole row is
+        computed and kept for the last n*k such queries: basis plays each of
+        its at most n(k-1) + 1 queries at many nodes, first-consistent each
+        of its queries at one.
+        """
         row = self._query_rows.get(qi)
         if row is None:
+            if len(indices) < self.size and qi not in self._asked:
+                self._asked.add(qi)
+                return self.feedback_rows([qi], indices)[0]
             if len(self._query_rows) >= self.config.n * self.config.k:
                 del self._query_rows[next(iter(self._query_rows))]
             row = self._query_rows[qi] = self.feedback_rows([qi])[0]
-        return row
+        return row[indices]
 
     def black_rows(self, qis: Sequence[int]) -> np.ndarray:
         """Black-peg counts of the queries at indices qis against every code,
@@ -540,7 +553,7 @@ class CodeSpace:
         """Non-empty response buckets of query index qi over the codes at
         indices, as (response, member indices) pairs in ascending packed-id
         order; each bucket keeps the order of indices."""
-        column = self.query_row(qi)[indices]
+        column = self.query_column(qi, indices)
         return [(fb, indices[at]) for fb, at in self.buckets(column)]
 
     def minimax_scores(

@@ -34,7 +34,8 @@ class SolutionSet:
     each code's row is therefore computed once, by the first set below the
     root that is scored. The whole space holds no rows: it is scored from
     one row per orbit and split by the row of the query played
-    (CodeSpace.query_row), as is every set of a strategy that never scores.
+    (CodeSpace.query_column), as is every set of a strategy that never
+    scores.
     """
 
     __slots__ = ("space", "indices", "_rows", "_source")
@@ -95,7 +96,7 @@ class SolutionSet:
         if block is None and self._source is not None:
             block, at = self._source
         if block is None:
-            column = self.space.query_row(qi)[self.indices]
+            column = self.space.query_column(qi, self.indices)
         else:
             column = block[:, qi] if at is None else block[at, qi]
         children = []

@@ -225,13 +225,21 @@ class TestFeedbackRows:
         assert space.n_realised_fids == len({fid for row in table for fid in row})
 
     @pytest.mark.parametrize("config", [bw_config(3, 3), perm_config(4)])
-    def test_query_rows_are_kept_for_n_times_k_queries(self, config):
+    def test_query_column_is_the_row_over_indices(self, config):
+        # the first ask below the root computes only the ids over indices,
+        # the second the whole row, which is kept for at most n*k queries
         space = CodeSpace.enumerate(config)
         table = space.feedback_rows(np.arange(space.size))
-        for qi in [*range(space.size), 0]:
-            assert space.query_row(qi).tolist() == table[qi].tolist()
+        rng = np.random.default_rng(5)
+        for qi in range(space.size):
+            indices = rng.choice(space.size, size=space.size // 3, replace=False)
+            for _ in range(2):
+                column = space.query_column(qi, indices)
+                assert column.dtype == np.int16
+                assert column.tolist() == table[qi, indices].tolist()
+            assert qi in space._query_rows
             assert len(space._query_rows) <= config.n * config.k
-        assert space.query_row(space.size - 1) is space.query_row(space.size - 1)
+        assert space.query_column(0, np.arange(space.size)).tolist() == table[0].tolist()
 
     @pytest.mark.parametrize(
         "config",

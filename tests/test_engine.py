@@ -199,7 +199,7 @@ class RowMeter:
         self.largest = 0
         computed, sliced = CodeSpace.feedback_rows, SolutionSet.rows
         monkeypatch.setattr(
-            CodeSpace, "feedback_rows", lambda space, qis: self.record(computed(space, qis))
+            CodeSpace, "feedback_rows", lambda *args: self.record(computed(*args))
         )
         monkeypatch.setattr(SolutionSet, "rows", lambda s: self.record(sliced(s)))
 

@@ -1,4 +1,4 @@
-"""Feedback ids are computed only by CodeSpace (feedback_rows, query_row,
+"""Feedback ids are computed only by CodeSpace (feedback_rows, query_column,
 black_rows), so changing how changes one module; and the searches take an
 enumerated CodeSpace, so only the CLI decides how large a space may be."""
 from pathlib import Path
