@@ -89,27 +89,35 @@ def feedback_ids(
 
 
 def column_max_buckets(
-    table: np.ndarray, rows: Optional[np.ndarray], n_fids: int
+    table: np.ndarray,
+    rows: Optional[np.ndarray],
+    n_fids: int,
+    cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Largest bucket of each column of table over the rows at `rows`, or
-    over every row if rows is None; shape (table.shape[1],) int64.
+    over every row if rows is None; with cols, of the columns at cols
+    only; shape (table.shape[1] or len(cols),) int64.
 
     Feedback is symmetric: black counts matching positions, and the matched
     count sum_c min(count_c(q), count_c(x)) is symmetric in q and x. So the
     columns [:, S] of the query-by-code ids that minimax scoring needs
     equal the rows of S, which CodeSpace.feedback_rows computes. Rows are
-    read CHUNK_CELLS cells at a time (slices when rows is None, so no
-    gather) into one reused int64 buffer of flat ids f * width + column,
-    counted into one (n_fids, width) array.
+    read CHUNK_CELLS cells at a time (slices when rows and cols are None,
+    so no gather) into one reused int64 buffer of flat ids
+    f * width + column, counted into one (n_fids, width) array.
     """
-    width = table.shape[1]
+    width = table.shape[1] if cols is None else len(cols)
     n_rows = len(table) if rows is None else len(rows)
     block = max(1, min(n_rows, CHUNK_CELLS // max(width, 1)))
     columns = np.arange(width, dtype=np.int64)
     flat = np.empty((block, width), dtype=np.int64)
     counts = np.zeros(n_fids * width, dtype=np.int64)
     for lo in range(0, n_rows, block):
-        part = table[lo : lo + block] if rows is None else table[rows[lo : lo + block]]
+        if rows is None:
+            part = table[lo : lo + block] if cols is None else table[lo : lo + block, cols]
+        else:
+            at = rows[lo : lo + block]
+            part = table[at] if cols is None else table[np.ix_(at, cols)]
         chunk = flat[: len(part)]
         np.multiply(part, np.int64(width), out=chunk)
         chunk += columns

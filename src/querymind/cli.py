@@ -3,8 +3,12 @@
 Subcommands: solve, worst-case, exact-value, bounds, adversary-trace,
 nonadaptive-search, entropy-audit. Results go to JSON (and CSV where
 tabular) under --out; the QUERYMIND_OUT environment variable overrides
---out. Progress goes to stderr, summaries to stdout. Exit codes: 0 success,
-1 validation error, 2 capacity error, 3 invariant violation during the run.
+--out. Each command prints a one-line summary to stdout. Errors go to
+stderr, one line each: "validation error: ...", "capacity error: ..." or
+"invariant violation: ...", and worst-case reports there how many codes its
+turn budget left undetermined. Nothing reports progress. Exit codes: 0
+success, 1 validation error, 2 capacity error, 3 invariant violation during
+the run.
 
 Identical argument vectors produce byte-identical artifacts.
 """
@@ -30,6 +34,7 @@ from .codespace import (
     VariantConfig,
     check_table_memory,
     format_code,
+    generator_bytes,
     parse_code,
     stabiliser_bytes,
 )
@@ -217,9 +222,10 @@ def _table_space(
     args: argparse.Namespace,
     config: VariantConfig,
     extra_bytes: Optional[Callable[[VariantConfig], int]] = None,
+    tables: int = 1,
 ) -> CodeSpace:
-    """The space of a command whose feedback rows are bounded by a whole
-    size x size table (see check_table_memory) and that keeps
+    """The space of a command whose feedback rows are bounded by `tables`
+    whole size x size tables (see check_table_memory) and that keeps
     extra_bytes(config) bytes beside them. The command's space budget is
     checked first, then the memory, so a refused request costs no
     enumeration; extra_bytes is only called on a space within the budget."""
@@ -230,12 +236,13 @@ def _table_space(
             f"space size {config.space_size} exceeds {name} budget {budget}"
         )
     extra = 0 if extra_bytes is None else extra_bytes(config)
-    check_table_memory(config, config.space_size, config.space_size, extra)
+    size = config.space_size
+    check_table_memory(config, tables * size, size, extra)
     return CodeSpace.enumerate(config, budget)
 
 
 def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), generator_bytes)
     if args.hidden is not None:
         hidden = parse_code(args.hidden)
     else:
@@ -255,7 +262,9 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
+    # a sweep holds rows of disjoint sets plus one copy of the set it splits
+    config = _config_from(args, Mode.ADAPTIVE)
+    space = _table_space(args, config, generator_bytes, tables=2)
     strategy = get_strategy(args.strategy)
     result = engine.worst_case_queries(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "worst_case", args, "result", result.to_json())
@@ -307,7 +316,7 @@ def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), generator_bytes)
     strategy = get_strategy(args.strategy)
     transcript = engine.play_adversarial(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "adversary_trace", args, "transcript", transcript.to_json())

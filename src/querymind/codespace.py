@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from . import _kernels
 from .errors import CapacityError, DomainError, InvalidCodeError
 
 Code = tuple[int, ...]
+# feedback rows of a solution set: its own block, or (block, positions) of a
+# superset's block
+Rows = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 KEY_CELLS = 1 << 20  # key cells per block of CodeSpace.stabiliser rows
@@ -202,13 +205,17 @@ def check_table_memory(
     the command keeps beside the table. It needs no enumerated codes, so a
     command can check first.
 
-    The table commands check a whole (size, size) table, though only the
+    The table commands check whole (size, size) tables, though only the
     non-adaptive search builds one. A game or sweep holds rows of solution
-    sets below the root (strategies.SolutionSet): those of disjoint sets,
-    at most the largest bucket B of the first query, plus one copy of the
-    set being split. That stays within the table when B is at most half
-    the space (perm-7: 1855 of 5040 codes; (4,6): 256 of 1296), not for
-    n = 1 or n = 2 with many colors.
+    sets below the root (strategies.SolutionSet). A sweep holds those of
+    disjoint sets plus one copy of the set being split, so `worst-case`
+    checks (2 * size, size): with n = 1, or n = 2 and many colors, the
+    first query's largest bucket is over half the space and a sweep holds
+    more than one table (79 rows of the 40 codes of (1,40)). A game holds
+    the set it follows and one child, within one table. Its first bucket
+    is scored from one row per symmetry orbit over the bucket
+    (minimax_scores), so the largest block a perm-7 game builds is
+    678 x 5040 ids, not the first bucket's 1855 x 5040.
     """
     need = extra + _kernels.feedback_bytes(
         rows, cols, config.n, config.k, config.feedback is FeedbackMode.BLACK_WHITE
@@ -266,6 +273,98 @@ def stabiliser_bytes(config: VariantConfig) -> int:
         free = config.k - len(counts)
         rows += sigmas * (1 + free * (free - 1) // 2)
     return 4 * rows * config.space_size
+
+
+def generator_bytes(config: VariantConfig) -> int:
+    """Bytes of CodeSpace.generators of one code, an upper bound: fewer
+    than n + k int32 index permutations of the space. A minimax game or
+    sweep holds one such table (see Orbits)."""
+    return 4 * (config.n + config.k) * config.space_size
+
+
+def orbit_labels(gens: np.ndarray) -> np.ndarray:
+    """Lowest index of each code's orbit under the group generated by the
+    index permutations gens, shape (g, size); shape (size,) int64.
+
+    Each code starts as its own label. A round hooks, for every code x and
+    generator g, the label of x's label and that of g(x)'s label to the
+    lower of the two, then jumps pointers (labels = labels[labels]) until
+    they stop moving; rounds repeat until one changes nothing. Labels only
+    fall and always name a code of the same orbit. At the end the labels
+    of x and g(x) agree for every x and g, so they are constant on each
+    orbit (a generator's cycles connect an orbit), and equal its lowest
+    code, the one label that never falls.
+    """
+    labels = np.arange(gens.shape[1], dtype=np.int64)
+    while True:
+        before = labels.copy()
+        for g in gens:
+            mine, theirs = labels.copy(), labels[g]
+            np.minimum.at(labels, mine, theirs)
+            np.minimum.at(labels, theirs, mine)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, before):
+            return labels
+
+
+class Orbits:
+    """Orbits on the codes of a group of symmetries that maps a solution
+    set onto itself, computed on first use and shared by sibling sets, so a
+    strategy that never scores never pays for them.
+
+    The group is generated by rows of CodeSpace.generators(q), q the query
+    that split the whole space: the rows that fix every later query played.
+    Such a row maps each response bucket of a query it fixes onto itself,
+    so the group maps every set on the way down onto itself. Deeper groups
+    keep row numbers into the one generator table, which no set copies.
+    """
+
+    def __init__(self, space: "CodeSpace", qi: int, parent: Optional["Orbits"] = None):
+        self._space = space
+        self._qi = qi
+        self._parent = parent
+
+    def fixing(self, qi: int) -> "Orbits":
+        """The orbits of the children of a split by query qi."""
+        return Orbits(self._space, qi, self)
+
+    @functools.cached_property
+    def _generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generator table, and the rows of it in this group."""
+        if self._parent is None:
+            table = self._space.generators(self._qi)
+            return table, np.arange(len(table))
+        table, rows = self._parent._generators
+        self._parent = None
+        return table, rows[table[rows, self._qi] == self._qi]
+
+    @functools.cached_property
+    def _spread(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Lowest code of each orbit, ascending, and for each code the
+        position of its orbit among them; None if the group is trivial."""
+        table, rows = self._generators
+        if not len(rows):
+            return None
+        labels = orbit_labels(table if len(rows) == len(table) else table[rows])
+        reps = np.flatnonzero(labels == np.arange(len(labels)))
+        return reps, np.searchsorted(reps, labels)
+
+    @property
+    def trivial(self) -> bool:
+        return self._spread is None
+
+    @property
+    def reps(self) -> np.ndarray:
+        """Lowest code of each orbit, ascending; the group is not trivial."""
+        return self._spread[0]
+
+    def spread(self, rep_values: np.ndarray) -> np.ndarray:
+        """One value per orbit, given for reps, as one value per code."""
+        return rep_values[self._spread[1]]
 
 
 @dataclass
@@ -403,6 +502,45 @@ class CodeSpace:
             for j in range(1, n):
                 key += table[:, j, columns[j]]
             out[lo : lo + len(table)] = key if index is None else index[key]
+        return out
+
+    def generators(self, qi: int) -> np.ndarray:
+        """Index permutations that generate the symmetries fixing the code
+        at index qi, as in stabiliser: row g maps code x to code g[x];
+        shape (g, size) int32, g < n + k (generator_bytes). The rows are
+        - swapping two positions that hold the same color of q (sigma a
+          transposition, tau the identity);
+        - swapping two colors a, b that q uses equally often together with
+          their position blocks (tau swaps a and b, sigma the j-th position
+          of a with the j-th position of b);
+        - swapping two colors q does not use (tau alone).
+        Swaps of neighbours in each class suffice. They generate every
+        (sigma, tau) fixing q: tau permutes q's colors within equal counts
+        and the unused colors freely, which the last two kinds undo, and
+        what is left keeps every color of q and its positions, a product of
+        the first kind.
+        """
+        n, k = self.config.n, self.config.k
+        q = self.decode(qi)
+        where = {c: [i for i in range(n) if q[i] == c] for c in sorted(set(q))}
+        by_count: dict[int, list[int]] = {}
+        for c, places in where.items():
+            by_count.setdefault(len(places), []).append(c)
+        free = [c for c in range(1, k + 1) if c not in where]
+        swaps = []  # (position pairs, color pair) swapped by each generator
+        for places in where.values():
+            swaps += [([(i, j)], ()) for i, j in zip(places, places[1:])]
+        for colors in by_count.values():
+            for a, b in zip(colors, colors[1:]):
+                swaps.append((list(zip(where[a], where[b])), (a, b)))
+        swaps += [([], (a, b)) for a, b in zip(free, free[1:])]
+        out = np.empty((len(swaps), self.size), dtype=np.int32)
+        for row, (positions, colors) in zip(out, swaps):
+            sigma, tau = list(range(n)), np.arange(k + 1, dtype=self.codes.dtype)
+            for i, j in positions:
+                sigma[i], sigma[j] = j, i
+            tau[list(colors)] = colors[::-1]
+            row[:] = self.rank(tau[self.codes[:, sigma]])
         return out
 
     # -- packed feedback ids ------------------------------------------------
@@ -557,14 +695,44 @@ class CodeSpace:
         return [(fb, indices[at]) for fb, at in self.buckets(column)]
 
     def minimax_scores(
-        self, indices: np.ndarray, rows: Optional[np.ndarray] = None
+        self,
+        indices: np.ndarray,
+        rows: Optional[Rows] = None,
+        orbits: Optional[Orbits] = None,
     ) -> np.ndarray:
         """Largest response bucket over the distinct codes at indices, for
         every query (by index); shape (size,) int64. rows, if given, are
-        feedback_rows(indices). The whole space is scored from one row per
-        orbit (_full_scores, read-only), never from size rows."""
+        the rows of indices (see member_scores). The whole space is scored
+        from one row per orbit (_full_scores, read-only), never from size
+        rows.
+
+        orbits, if given, belong to a group of symmetries that maps the set
+        S of indices onto itself. A symmetry g keeps feedback, so g(q)
+        splits S = g(S) into the images of q's buckets, and g(q) and q have
+        the same score: scores are constant on orbits. Then only the lowest
+        query of each orbit is scored, from the columns of rows at those
+        queries, or, without rows, from their own rows over S
+        (feedback_rows(reps, indices)), never from len(S) rows.
+        """
         if len(indices) == self.size:
             return self._full_scores
+        if orbits is not None and not orbits.trivial:
+            if rows is None:
+                block = self.feedback_rows(orbits.reps, indices)
+                return orbits.spread(_kernels.max_bucket_sizes(block, self.n_fids))
+            return orbits.spread(self._column_maxima(rows, orbits.reps))
         if rows is None:
             rows = self.feedback_rows(indices)
-        return _kernels.column_max_buckets(rows, None, self.n_fids)
+        return self._column_maxima(rows, None)
+
+    def member_scores(self, indices: np.ndarray, rows: Rows) -> np.ndarray:
+        """Largest response bucket over the codes at indices of each of
+        those codes as a query, read from their |S| x |S| block of rows;
+        shape (len(indices),) int64. rows are feedback_rows(indices), or a
+        pair (block, at): rows of a superset and the positions of indices
+        among them."""
+        return self._column_maxima(rows, indices)
+
+    def _column_maxima(self, rows: Rows, cols: Optional[np.ndarray]) -> np.ndarray:
+        block, at = rows if isinstance(rows, tuple) else (rows, None)
+        return _kernels.column_max_buckets(block, at, self.n_fids, cols)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codespace import Code, CodeSpace, Feedback, encode01
+from .codespace import Code, CodeSpace, Feedback, Orbits, encode01
 from .errors import ContradictionError, DomainError, ProtocolError
 
 Turn = tuple[Code, Feedback]
@@ -27,18 +27,28 @@ Turn = tuple[Code, Feedback]
 class SolutionSet:
     """Immutable set of code-space indices consistent with a transcript.
 
-    A set scored by minimax holds the feedback rows of its codes
-    (CodeSpace.feedback_rows). Its children from split take their rows as
-    slices of these, never from the kernel, and since feedback ids are
+    Feedback rows. A set scored by minimax holds the feedback rows of its
+    codes (CodeSpace.feedback_rows), or a slice source: its parent's rows
+    and its positions among them. Its children from split take their rows
+    as slices of these, never from the kernel, and since feedback ids are
     symmetric the split by query q reads column q of the rows. Down a tree
-    each code's row is therefore computed once, by the first set below the
-    root that is scored. The whole space holds no rows: it is scored from
-    one row per orbit and split by the row of the query played
-    (CodeSpace.query_column), as is every set of a strategy that never
-    scores.
+    each code's row is therefore computed at most once. The whole space
+    holds no rows: it is scored from one row per orbit and split by the row
+    of the query played (CodeSpace.query_column), as is every set of a
+    strategy that never scores.
+
+    Symmetries. Every set split from the whole space carries the Orbits of
+    a group of symmetries that maps it onto itself (codespace.Orbits,
+    computed only if the set is scored). A set with a non-trivial group is
+    scored once per orbit (CodeSpace.minimax_scores): from the rows it
+    holds or its slice source, else from representative rows over the set,
+    so a game builds no rows of its first bucket. A set a sweep split off
+    computes its rows when scored all the same: the sweep hands them down,
+    and its children are then scored from slices, not each from a kernel
+    call of its own.
     """
 
-    __slots__ = ("space", "indices", "_rows", "_source")
+    __slots__ = ("space", "indices", "_rows", "_source", "_orbits", "_handed_down")
 
     def __init__(self, space: CodeSpace, indices: np.ndarray) -> None:
         self.space = space
@@ -46,6 +56,8 @@ class SolutionSet:
         self._rows: Optional[np.ndarray] = None
         # (rows of a superset, positions of this set's codes among them)
         self._source: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._orbits: Optional[Orbits] = None
+        self._handed_down = False  # split off by hand_down: a sweep
 
     @classmethod
     def full(cls, space: CodeSpace) -> "SolutionSet":
@@ -75,10 +87,25 @@ class SolutionSet:
         return self._rows
 
     def minimax_scores(self) -> np.ndarray:
-        """CodeSpace.minimax_scores of this set, from its rows."""
-        if len(self) == self.space.size:
-            return self.space.minimax_scores(self.indices)
-        return self.space.minimax_scores(self.indices, self.rows())
+        """CodeSpace.minimax_scores of this set. A set with no symmetry, or
+        one a sweep split off, is scored from its rows, computed if need
+        be; any other set passes the rows it holds or its slice source, or
+        none, and its orbits."""
+        space, orbits = self.space, self._orbits
+        if len(self) == space.size:
+            return space.minimax_scores(self.indices)
+        if orbits is None or orbits.trivial:
+            return space.minimax_scores(self.indices, self.rows())
+        if self._handed_down:
+            return space.minimax_scores(self.indices, self.rows(), orbits)
+        rows = self._source if self._rows is None else self._rows
+        return space.minimax_scores(self.indices, rows, orbits)
+
+    def member_scores(self) -> Optional[np.ndarray]:
+        """CodeSpace.member_scores of this set from the rows it holds or
+        its slice source, or None if it has neither."""
+        rows = self._source if self._rows is None else self._rows
+        return None if rows is None else self.space.member_scores(self.indices, rows)
 
     def split(
         self, qi: int, hand_down: bool = False
@@ -99,9 +126,14 @@ class SolutionSet:
             column = self.space.query_column(qi, self.indices)
         else:
             column = block[:, qi] if at is None else block[at, qi]
+        if len(self) == self.space.size:
+            orbits: Optional[Orbits] = Orbits(self.space, qi)
+        else:
+            orbits = None if self._orbits is None else self._orbits.fixing(qi)
         children = []
         for fb, pos in self.space.buckets(column):
             child = SolutionSet(self.space, self.indices[pos])
+            child._orbits, child._handed_down = orbits, hand_down
             if block is not None and len(pos) > 1:
                 child._source = (block, pos if at is None else at[pos])
                 if hand_down:
@@ -123,17 +155,35 @@ def filter_consistent(s: SolutionSet, q: Code, r: Feedback) -> SolutionSet:
 
 
 def minimax_next(s: SolutionSet) -> Code:
-    """Minimum-score query; ties prefer members of s, then lowest index."""
+    """Minimum-score query; ties prefer members of s, then lowest index.
+
+    Member floor. With b realised feedback ids (CodeSpace.n_realised_fids),
+    every query scores at least F = ceil((|S| - 1) / (b - 1)): a member
+    query's own code is alone in the all-black bucket (that id occurs only
+    between a code and itself), so its other |S| - 1 codes fall into at
+    most b - 1 buckets; a non-member's |S| codes fall into at most b - 1
+    buckets, all but all-black. So a member scoring F has the least score
+    and wins every tie: if a set with rows finds members at F in its
+    |S| x |S| member block, the lowest-index one is the answer, and no
+    other query is scored.
+    """
     if len(s) < 2:
         raise DomainError("minimax needs at least 2 remaining candidates")
+    space = s.space
+    members = s.member_scores()
+    if members is not None:
+        floor = -(-(len(s) - 1) // (space.n_realised_fids - 1))
+        at_floor = s.indices[members == floor]
+        if at_floor.size:
+            return space.decode(int(at_floor.min()))
     scores = s.minimax_scores()
     best = scores.min()
     tied = np.flatnonzero(scores == best)
-    member = np.zeros(s.space.size, dtype=bool)
+    member = np.zeros(space.size, dtype=bool)
     member[s.indices] = True
     in_s = tied[member[tied]]
     chosen = int(in_s[0]) if in_s.size else int(tied[0])
-    return s.space.decode(chosen)
+    return space.decode(chosen)
 
 
 class _RationalBasis:

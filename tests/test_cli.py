@@ -13,6 +13,7 @@ from querymind.codespace import (
     Mode,
     Repeats,
     VariantConfig,
+    generator_bytes,
     stabiliser_bytes,
 )
 from querymind.errors import DomainError
@@ -356,6 +357,24 @@ class TestWorstCase:
         assert code == 0
         assert (env_dir / "worst_case.json").exists()
         assert not flag_dir.exists()
+
+    @pytest.mark.parametrize("spare, code", [(-1, 2), (0, 0)], ids=["short", "fits"])
+    @pytest.mark.parametrize("n, k", [(4, 6), (1, 40)])
+    def test_memory_check_counts_two_tables(
+        self, n, k, spare, code, tmp_path, capsys, monkeypatch
+    ):
+        # a sweep holds rows of disjoint sets plus one copy of the set it
+        # splits, up to twice the table on (1,40), and the generators of
+        # one code; one byte short of that is refused before enumerating
+        config = VariantConfig(n, k)
+        size = config.space_size
+        need = _kernels.feedback_bytes(2 * size, size, n, k, True) + generator_bytes(config)
+        pages = {"SC_PHYS_PAGES": need + spare, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr("querymind.codespace.os.sysconf", pages.__getitem__)
+        argv = ["worst-case", "--n", str(n), "--k", str(k), "--strategy", "minimax"]
+        assert run([*argv, "--out", str(tmp_path)]) == code
+        assert ("capacity error" in capsys.readouterr().err) == (code == 2)
+        assert (tmp_path / "worst_case.json").exists() == (code == 0)
 
     def test_negative_turn_budget_is_validation(self, tmp_path, capsys):
         code = run(

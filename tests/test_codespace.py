@@ -21,6 +21,8 @@ from querymind.codespace import (
     encode01,
     feedback,
     format_code,
+    generator_bytes,
+    orbit_labels,
     parse_code,
     root_queries,
     stabiliser_bytes,
@@ -141,6 +143,12 @@ def _symmetry_configs():
                 yield config
 
 
+def _sample_codes(space):
+    """Indices of the root queries and of the first, middle and last code."""
+    roots = {space.encode(q) for q in root_queries(space.config)}
+    return sorted(roots | {0, space.size // 2, space.size - 1})
+
+
 class TestSymmetry:
     def test_knuth_root_queries(self):
         assert root_queries(bw_config(4, 6)) == [
@@ -171,6 +179,50 @@ class TestSymmetry:
             for g in group:
                 assert np.array_equal(table[np.ix_(g, g)], table)
         assert total == stabiliser_bytes(config)
+
+    @pytest.mark.parametrize(
+        "config", list(_symmetry_configs()), ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}"
+    )
+    def test_generators_are_symmetries_fixing_the_query(self, config):
+        # every code's generators are bijections that fix it; a sample of
+        # codes also has them keep black and white pegs
+        space = CodeSpace.enumerate(config)
+        table = space.feedback_rows(np.arange(space.size))
+        sample = _sample_codes(space)
+        for qi in range(space.size):
+            gens = space.generators(qi)
+            assert gens.dtype == np.int32 and len(gens) < config.n + config.k
+            assert gens.nbytes < generator_bytes(config)
+            assert (np.sort(gens, axis=1) == np.arange(space.size)).all()
+            assert (gens[:, qi] == qi).all()
+            if qi in sample:
+                for g in gens:
+                    assert np.array_equal(table[np.ix_(g, g)], table)
+
+    @pytest.mark.parametrize(
+        "config", list(_symmetry_configs()), ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}"
+    )
+    def test_generator_orbits_are_the_stabiliser_orbits(self, config):
+        # the stabiliser's rows generate the whole group fixing q, so the
+        # lowest code reached from each code through them labels its orbit
+        space = CodeSpace.enumerate(config)
+        for qi in _sample_codes(space):
+            group = space.stabiliser(qi)
+            want = np.arange(space.size)
+            while True:
+                lower = np.minimum(want, want[group].min(axis=0))
+                if np.array_equal(lower, want):
+                    break
+                want = lower
+            labels = orbit_labels(space.generators(qi))
+            assert labels.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_orbit_labels_of_one_long_cycle(self, shift):
+        # one orbit of 10_000 codes, whichever way round the cycle runs
+        cycle = np.roll(np.arange(10_000), shift)[None, :]
+        assert (orbit_labels(cycle) == 0).all()
+        assert orbit_labels(np.empty((0, 3), dtype=np.int32)).tolist() == [0, 1, 2]
 
     def test_unused_colors_get_identity_and_transpositions(self):
         # (1, 13): 1 + 12*11/2 maps of the 12 unused colors, not 12!

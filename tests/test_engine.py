@@ -26,7 +26,7 @@ from querymind.engine import (
 )
 import numpy as np
 
-from querymind import codespace
+from querymind import _kernels, codespace
 from querymind.errors import CapacityError, DomainError, ProtocolError
 from querymind.strategies import (
     STRATEGY_NAMES,
@@ -226,9 +226,11 @@ class TestRowBlocks:
             t = play_honest(get_strategy("minimax"), perm6.decode(idx), perm6)
             assert t.solution == perm6.decode(idx)
         assert play_adversarial(get_strategy("minimax"), perm6).outcome == DETERMINED
-        # the largest block is the biggest bucket of the first query, the
-        # 265 derangements of 6; a game keeps one block and one slice
-        assert meter.largest == 265
+        # the first bucket, the 265 derangements of 6, is scored from one
+        # row per conjugacy class; the largest block is the rows of the 90
+        # codes left after the adversary's second answer, which has no
+        # symmetry left (265 rows before orbit scoring)
+        assert meter.largest == 90
         assert meter.most_live < perm6.size
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
@@ -239,6 +241,35 @@ class TestRowBlocks:
         if name != "minimax":
             # strategies that never score compute single query rows
             assert meter.largest <= 1
+
+    @pytest.mark.parametrize(
+        "config", [VariantConfig(2, 8), VariantConfig(1, 40)], ids=["2-8-bw", "1-40-bw"]
+    )
+    def test_sweep_rows_within_two_tables(self, config, monkeypatch):
+        # the first query's largest bucket is over half the space, so a
+        # sweep holds more rows than one table: disjoint sets plus one
+        # copy of the set being split, which worst-case checks for
+        space = CodeSpace.enumerate(config)
+        meter = RowMeter(monkeypatch)
+        worst_case_queries(get_strategy("minimax"), space)
+        assert space.size < meter.most_live <= 2 * space.size
+
+    def test_orbit_scoring_reads_fewer_cells(self, perm6, monkeypatch):
+        # every minimax_scores cell the perm-6 sweep reads: 2_079_360 when
+        # every set below the root was scored against all 720 queries,
+        # 914_591 with one query per orbit and the member floor
+        cells = []
+        counted = _kernels.column_max_buckets
+
+        def count(table, rows, n_fids, cols=None):
+            n_rows = len(table) if rows is None else len(rows)
+            cells.append(n_rows * (table.shape[1] if cols is None else len(cols)))
+            return counted(table, rows, n_fids, cols)
+
+        monkeypatch.setattr(_kernels, "column_max_buckets", count)
+        result = worst_case_queries(get_strategy("minimax"), CodeSpace.enumerate(perm6.config))
+        assert result.max_queries == 6
+        assert sum(cells) < 2_079_360
 
     def test_no_allocation_near_the_table(self, perm6):
         # the old table alone took size**2 int16; a minimax game now peaks

@@ -1,9 +1,12 @@
+import functools
 import itertools
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from querymind import _kernels
 from querymind.codespace import (
@@ -16,9 +19,10 @@ from querymind.codespace import (
     feedback,
 )
 from querymind.combinatorics import bucket_size
-from querymind.engine import worst_case_queries
+from querymind.engine import play_adversarial, play_honest, worst_case_queries
 from querymind.errors import DomainError, ProtocolError
 from querymind.strategies import (
+    MinimaxStrategy,
     SolutionSet,
     _RationalBasis,
     filter_consistent,
@@ -185,6 +189,76 @@ class TestMinimax:
         cfg, space = perm3
         with pytest.raises(DomainError):
             minimax_next(SolutionSet(space, [2]))
+
+
+_SMALL_CONFIGS = [
+    perm_config(5),
+    VariantConfig(3, 3),
+    VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY),
+    VariantConfig(2, 6),
+    VariantConfig(4, 5, repeats=Repeats.FORBIDDEN),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _space_and_table(cfg):
+    space = CodeSpace.enumerate(cfg)
+    return space, space.feedback_rows(np.arange(space.size))
+
+
+class TestOrbitScores:
+    @pytest.mark.parametrize(
+        "cfg", _SMALL_CONFIGS, ids=lambda c: f"{c.n}-{c.k}-{c.feedback.value}-{c.repeats.value}"
+    )
+    def test_orbit_scores_equal_full_kernel_scores(self, cfg):
+        # every set a sweep or a game scores, with the symmetries it
+        # carries, gets the scores of all its rows against every query
+        space, table = _space_and_table(cfg)
+        paths = set()
+
+        class Checked(MinimaxStrategy):
+            def next_query(self, history, s):
+                symmetric = s._orbits is not None and not s._orbits.trivial
+                held = s._rows is not None or s._source is not None
+                paths.add((symmetric, held))
+                want = _kernels.column_max_buckets(table, s.indices, space.n_fids)
+                assert s.minimax_scores().tolist() == want.tolist()
+                return super().next_query(history, s)
+
+        worst_case_queries(Checked(), space)
+        play_adversarial(Checked(), space)
+        for idx in (0, space.size // 2):
+            play_honest(Checked(), space.decode(idx), space)
+        # scored from held rows, and from representative rows of its own
+        assert {(True, True), (True, False)} <= paths
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_member_floor_answer_is_the_full_argmin(self, data):
+        space, table = _space_and_table(data.draw(st.sampled_from(_SMALL_CONFIGS)))
+        picks = data.draw(
+            st.lists(st.integers(0, space.size - 1), min_size=2, max_size=12, unique=True)
+        )
+        s = SolutionSet(space, picks)
+        s.rows()
+        scores = _kernels.column_max_buckets(table, s.indices, space.n_fids)
+        floor = -(-(len(s) - 1) // (space.n_realised_fids - 1))
+        assert scores.min() >= floor
+        tied = np.flatnonzero(scores == scores.min())
+        members = tied[np.isin(tied, s.indices)]
+        want = members[0] if members.size else tied[0]
+        assert minimax_next(s) == space.decode(int(want))
+
+    def test_member_at_the_floor_skips_scoring(self, perm3, monkeypatch):
+        cfg, space = perm3
+        s = SolutionSet(space, [4, 1])
+        s.rows()
+
+        def scored(self):
+            raise AssertionError("scored every query")
+
+        monkeypatch.setattr(SolutionSet, "minimax_scores", scored)
+        assert minimax_next(s) == space.decode(1)
 
 
 def _matrix_rank(vectors) -> int:
