@@ -284,24 +284,24 @@ def generator_bytes(config: VariantConfig) -> int:
 
 def orbit_labels(gens: np.ndarray) -> np.ndarray:
     """Lowest index of each code's orbit under the group generated by the
-    index permutations gens, shape (g, size); shape (size,) int64.
+    index permutations gens, shape (g, size); shape (size,) int32.
 
-    Each code starts as its own label. A round hooks, for every code x and
-    generator g, the label of x's label and that of g(x)'s label to the
-    lower of the two, then jumps pointers (labels = labels[labels]) until
-    they stop moving; rounds repeat until one changes nothing. Labels only
-    fall and always name a code of the same orbit. At the end the labels
-    of x and g(x) agree for every x and g, so they are constant on each
-    orbit (a generator's cycles connect an orbit), and equal its lowest
-    code, the one label that never falls.
+    Each code starts as its own label. A round lowers, for every generator
+    g and code x, the labels of x and g(x) to the lower of the two, then
+    jumps pointers (labels = labels[labels]) until they stop moving; rounds
+    repeat until one changes nothing. Labels only fall and always name a
+    code of the same orbit. At the end the labels of x and g(x) agree for
+    every x and g, so they are constant on each orbit (the cycles of the
+    generators connect it) and equal its lowest code, the one label that
+    never falls. Lowering both ways lets a label run down a cycle in
+    either direction, and the jumps halve the chains it leaves.
     """
-    labels = np.arange(gens.shape[1], dtype=np.int64)
+    labels = np.arange(gens.shape[1], dtype=np.int32)
     while True:
         before = labels.copy()
         for g in gens:
-            mine, theirs = labels.copy(), labels[g]
-            np.minimum.at(labels, mine, theirs)
-            np.minimum.at(labels, theirs, mine)
+            np.minimum(labels, labels[g], out=labels)
+            labels[g] = np.minimum(labels[g], labels)
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
