@@ -310,6 +310,8 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
         key = s.indices.tobytes()
         if failed.get(key, -1) >= depth:
             return False
+        if group is not None:
+            s.rows()  # split by many queries: the children slice these rows
         scores = s.minimax_scores()
         seen_partitions: set[tuple[bytes, ...]] = set()
         for qi in np.argsort(scores, kind="stable").tolist():

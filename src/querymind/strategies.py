@@ -45,7 +45,8 @@ class SolutionSet:
     so a game builds no rows of its first bucket. A set a sweep split off
     computes its rows when scored all the same: the sweep hands them down,
     and its children are then scored from slices, not each from a kernel
-    call of its own.
+    call of its own (engine.exact_game_value asks each node for its rows
+    for the same reason).
     """
 
     __slots__ = ("space", "indices", "_rows", "_source", "_orbits", "_handed_down")
