@@ -261,7 +261,7 @@ class TestRowBlocks:
         assert space.size < meter.most_live <= 2 * space.size
 
     def test_orbit_scoring_reads_fewer_cells(self, perm6, monkeypatch):
-        # every minimax_scores cell the perm-6 sweep reads: 2_079_360 when
+        # every bucket-counting cell the perm-6 sweep reads: 2_079_360 when
         # every set below the root was scored against all 720 queries,
         # 914_591 with one query per orbit and the member floor
         cells = []
