@@ -2,19 +2,20 @@
 
 Feedback ids: a (black, white) response is packed as ``black * (n+1) + white``
 for black+white configs, or just ``black`` for black-only configs, giving a
-dense integer range suitable for bincount-style bucket sizing.
+dense integer range in which buckets are counted per id.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 # read by perfbench/envinfo.py for its environment record
 USING_NUMBA = False
 
-_CHUNK = 256  # query rows per matrix product, bounds peak memory
-CHUNK_CELLS = 1 << 16  # table cells per column_max_buckets block
+PRODUCT_CELLS = 1 << 18  # float32 cells per matrix product, bounds peak memory
+COMPARE_CELLS = 1 << 20  # bool cells of column_max_buckets' compare buffer
+BLOCK_ROWS = 255  # rows per column_max_buckets block: a uint8 count holds them
 
 
 def _features(codes: np.ndarray, k: int, black_white: bool, scale: int) -> np.ndarray:
@@ -29,12 +30,18 @@ def _features(codes: np.ndarray, k: int, black_white: bool, scale: int) -> np.nd
     return np.hstack([np.float32(scale) * e, above.reshape(rows, k * n)], dtype=np.float32)
 
 
+def _product_rows(cols: int) -> int:
+    """Query rows per matrix product of feedback_ids against cols codes."""
+    return max(1, PRODUCT_CELLS // max(cols, 1))
+
+
 def feedback_bytes(rows: int, cols: int, n: int, k: int, black_white: bool) -> int:
     """Upper bound on the peak bytes of feedback_ids for rows queries and
     cols codes: the int16 table, the float32 product buffer, and per code
     every array of _features (bool one-hot and thresholds, float32 copies)."""
     per_code = (14 if black_white else 5) * n * k
-    return 2 * rows * cols + 4 * min(_CHUNK, rows) * cols + per_code * (rows + cols)
+    buffer = 4 * min(_product_rows(cols), rows) * cols
+    return 2 * rows * cols + buffer + per_code * (rows + cols)
 
 
 def code_features(codes: np.ndarray, k: int, black_white: bool) -> np.ndarray:
@@ -62,9 +69,10 @@ def feedback_ids(
 ) -> np.ndarray:
     """Packed feedback ids for every (query, code) pair; shape (Q, H) int16.
 
-    One float32 matrix product per block of query rows. E(q)·E(x) is the
-    black count, and T(q)·T(x) = sum_c min(count_c(q), count_c(x)) is the
-    matched count, since min(a, b) = sum_t [a >= t][b >= t]; so
+    One float32 matrix product per block of query rows, at most
+    PRODUCT_CELLS cells each. E(q)·E(x) is the black count, and
+    T(q)·T(x) = sum_c min(count_c(q), count_c(x)) is the matched count,
+    since min(a, b) = sum_t [a >= t][b >= t]; so
     [n*E | T](q)·[E | T](x) = n*black + matched = black*(n+1) + white.
     The product is exact: every term and partial sum is a non-negative
     integer no larger than the final id, and ids stay below 2**15
@@ -79,11 +87,12 @@ def feedback_ids(
         b = code_features(codes, k, black_white)
     else:
         a, b = sides
+    step = _product_rows(len(codes))
     out = np.empty((len(a), len(codes)), dtype=np.int16)
-    buf = np.empty((min(_CHUNK, len(a)), len(codes)), dtype=np.float32)
-    for lo in range(0, len(a), _CHUNK):
+    buf = np.empty((min(step, len(a)), len(codes)), dtype=np.float32)
+    for lo in range(0, len(a), step):
         block = buf[: len(a) - lo]
-        np.matmul(a[lo : lo + _CHUNK], b.T, out=block)
+        np.matmul(a[lo : lo + step], b.T, out=block)
         out[lo : lo + len(block)] = block
     return out
 
@@ -91,40 +100,51 @@ def feedback_ids(
 def column_max_buckets(
     table: np.ndarray,
     rows: Optional[np.ndarray],
-    n_fids: int,
+    ids: Sequence[int],
     cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Largest bucket of each column of table over the rows at `rows`, or
     over every row if rows is None; with cols, of the columns at cols
-    only; shape (table.shape[1] or len(cols),) int64.
+    only; shape (table.shape[1] or len(cols),) int64. Only the feedback
+    ids in ids are counted, so ids must hold every id those cells hold.
 
     Feedback is symmetric: black counts matching positions, and the matched
     count sum_c min(count_c(q), count_c(x)) is symmetric in q and x. So the
     columns [:, S] of the query-by-code ids that minimax scoring needs
-    equal the rows of S, which CodeSpace.feedback_rows computes. Rows are
-    read CHUNK_CELLS cells at a time (slices when rows and cols are None,
-    so no gather) into one reused int64 buffer of flat ids
-    f * width + column, counted into one (n_fids, width) array.
+    equal the rows of S, which CodeSpace.feedback_rows computes.
+
+    Rows are read a block of at most BLOCK_ROWS at a time (slices when rows
+    is None, else gathered with take, which is faster than fancy indexing
+    with np.ix_), compared with every id at once into one reused bool
+    buffer of at most about COMPARE_CELLS cells, and the matches of each
+    (id, column) summed as uint8, which BLOCK_ROWS rows cannot overflow;
+    with more than one block the sums add into int32 counts.
     """
     width = table.shape[1] if cols is None else len(cols)
     n_rows = len(table) if rows is None else len(rows)
-    block = max(1, min(n_rows, CHUNK_CELLS // max(width, 1)))
-    columns = np.arange(width, dtype=np.int64)
-    flat = np.empty((block, width), dtype=np.int64)
-    counts = np.zeros(n_fids * width, dtype=np.int64)
-    for lo in range(0, n_rows, block):
+    if n_rows == 0 or width == 0:
+        return np.zeros(width, dtype=np.int64)
+    wanted = np.asarray(ids, dtype=table.dtype)[:, None, None]
+    step = max(1, min(n_rows, BLOCK_ROWS, COMPARE_CELLS // (len(wanted) * width)))
+    eq = np.empty((len(wanted), step, width), dtype=bool)
+    counts = None if step == n_rows else np.zeros((len(wanted), width), dtype=np.int32)
+    for lo in range(0, n_rows, step):
         if rows is None:
-            part = table[lo : lo + block] if cols is None else table[lo : lo + block, cols]
+            part = table[lo : lo + step]
         else:
-            at = rows[lo : lo + block]
-            part = table[at] if cols is None else table[np.ix_(at, cols)]
-        chunk = flat[: len(part)]
-        np.multiply(part, np.int64(width), out=chunk)
-        chunk += columns
-        counts += np.bincount(chunk.ravel(), minlength=n_fids * width)
-    return counts.reshape(n_fids, width).max(axis=0)
+            part = table.take(rows[lo : lo + step], axis=0)
+        if cols is not None:
+            part = part.take(cols, axis=1)
+        e = eq[:, : len(part)]
+        np.equal(part, wanted, out=e)
+        sums = e.view(np.uint8).sum(axis=1, dtype=np.uint8)
+        if counts is None:
+            counts = sums
+        else:
+            counts += sums
+    return counts.max(axis=0).astype(np.int64)
 
 
 def max_bucket_sizes(fids: np.ndarray, n_fids: int) -> np.ndarray:
     """For each row of feedback ids, the largest bucket size; shape (Q,) int64."""
-    return column_max_buckets(fids.T, None, n_fids)
+    return column_max_buckets(fids.T, None, range(n_fids))

@@ -222,11 +222,10 @@ def _table_space(
     args: argparse.Namespace,
     config: VariantConfig,
     extra_bytes: Optional[Callable[[VariantConfig], int]] = None,
-    tables: int = 1,
 ) -> CodeSpace:
-    """The space of a command whose feedback rows are bounded by `tables`
-    whole size x size tables (see check_table_memory) and that keeps
-    extra_bytes(config) bytes beside them. The command's space budget is
+    """The space of a command whose feedback rows are bounded by one whole
+    size x size table (see check_table_memory) and that keeps
+    extra_bytes(config) bytes beside it. The command's space budget is
     checked first, then the memory, so a refused request costs no
     enumeration; extra_bytes is only called on a space within the budget."""
     default, name = _TABLE_BUDGETS[args.command]
@@ -237,7 +236,7 @@ def _table_space(
         )
     extra = 0 if extra_bytes is None else extra_bytes(config)
     size = config.space_size
-    check_table_memory(config, tables * size, size, extra)
+    check_table_memory(config, size, size, extra)
     return CodeSpace.enumerate(config, budget)
 
 
@@ -262,9 +261,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
-    # a sweep holds rows of disjoint sets plus one copy of the set it splits
-    config = _config_from(args, Mode.ADAPTIVE)
-    space = _table_space(args, config, generator_bytes, tables=2)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), generator_bytes)
     strategy = get_strategy(args.strategy)
     result = engine.worst_case_queries(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "worst_case", args, "result", result.to_json())

@@ -205,15 +205,13 @@ def check_table_memory(
     the command keeps beside the table. It needs no enumerated codes, so a
     command can check first.
 
-    The table commands check whole (size, size) tables, though only the
+    The table commands check a whole (size, size) table, though only the
     non-adaptive search builds one. A game or sweep holds rows of solution
-    sets below the root (strategies.SolutionSet). A sweep holds those of
-    disjoint sets plus one copy of the set being split, so `worst-case`
-    checks (2 * size, size): with n = 1, or n = 2 and many colors, the
-    first query's largest bucket is over half the space and a sweep holds
-    more than one table (79 rows of the 40 codes of (1,40)). A game holds
-    the set it follows and one child, within one table. Its first bucket
-    is scored from one row per symmetry orbit over the bucket
+    sets below the root (strategies.SolutionSet), within one table. A
+    sweep holds the rows of one bucket of the whole space at a time, which
+    the sets below it read without copying them (perm-7: 1855 x 5040 ids,
+    18.7 MB). A game holds the set it follows and one child. Its first
+    bucket is scored from its ids against one query per symmetry orbit
     (minimax_scores), so the largest block a perm-7 game builds is
     678 x 5040 ids, not the first bucket's 1855 x 5040.
     """
@@ -432,18 +430,22 @@ class CodeSpace:
         return tuple(math.perm(k - i - 1, n - i - 1) for i in range(n))
 
     def rank(self, codes: np.ndarray) -> np.ndarray:
-        """Index of each row of codes, all valid codes of this space; int64.
+        """Index of each row of codes, all valid codes of this space; int32
+        if every index fits, else int64.
 
         Lexicographic rank: position i adds its digit times _rank_weights[i].
         With repeats the digit is c_i - 1, a mixed-radix number; without,
         it is the number of colors below c_i unused before i. encode does
-        the same for one code.
+        the same for one code. Every term is non-negative, so no partial
+        sum passes the index.
         """
-        digits = codes.astype(np.int64) - 1
+        dtype = np.int32 if self.size < 2**31 else np.int64
+        digits = codes.astype(dtype) - 1
         if self.config.repeats is Repeats.FORBIDDEN:
             for i in range(self.config.n - 1, 0, -1):
-                digits[:, i] -= (digits[:, :i] < digits[:, i : i + 1]).sum(axis=1)
-        return digits @ np.array(self._rank_weights, dtype=np.int64)
+                below = digits[:, :i] < digits[:, i : i + 1]
+                digits[:, i] -= below.sum(axis=1, dtype=dtype)
+        return digits @ np.array(self._rank_weights, dtype=dtype)
 
     def stabiliser(self, qi: int) -> np.ndarray:
         """Symmetries of the space that fix the code at index qi, as index
@@ -553,19 +555,30 @@ class CodeSpace:
         return n + 1
 
     @functools.cached_property
-    def _root_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of root_queries, ascending, and their feedback rows."""
-        roots = np.array([self.encode(q) for q in root_queries(self.config)])
-        return roots, self.feedback_rows(roots)
+    def _root_summary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """From the feedback rows of root_queries, which are not kept: the
+        ids that occur between two codes (ascending int16, the dtype of
+        the rows the kernel compares them with), the indices of the root
+        queries (ascending) and their minimax scores over the space.
 
-    @functools.cached_property
+        Every code is g(r) for a symmetry g (see stabiliser) and a root
+        query r, and feedback(g(r), x) = feedback(r, g^-1(x)), so the rows
+        of root_queries hold every id that occurs."""
+        roots = np.array([self.encode(q) for q in root_queries(self.config)])
+        rows = self.feedback_rows(roots)
+        counts = [np.bincount(row, minlength=self.n_fids) for row in rows]
+        ids = np.flatnonzero(np.sum(counts, axis=0)).astype(np.int16)
+        return ids, roots, np.array([c.max() for c in counts])
+
+    @property
+    def _realised_ids(self) -> np.ndarray:
+        """The feedback ids that occur between two codes, ascending."""
+        return self._root_summary[0]
+
+    @property
     def n_realised_fids(self) -> int:
-        """Number of feedback ids that occur between two codes. Every code
-        is g(r) for a symmetry g (see stabiliser) and a root query r, and
-        feedback(g(r), x) = feedback(r, g^-1(x)), so the rows of
-        root_queries hold every id that occurs."""
-        counts = np.bincount(self._root_rows[1].ravel(), minlength=self.n_fids)
-        return int(np.count_nonzero(counts))
+        """Number of feedback ids that occur between two codes."""
+        return len(self._realised_ids)
 
     def _patterns(self, codes: np.ndarray) -> np.ndarray:
         """Color-count pattern of each code: entry m - 1 counts the positions
@@ -581,8 +594,7 @@ class CodeSpace:
         the space onto itself and keeps feedback, so g(q) and q have the
         same largest bucket: the scores are constant on orbits, one per
         color-count pattern, and one row per root query gives them all."""
-        roots, rows = self._root_rows
-        root_scores = _kernels.max_bucket_sizes(rows, self.n_fids)
+        _, roots, root_scores = self._root_summary
         scores = np.full(self.size, root_scores[0])
         if len(roots) > 1:
             patterns = self._patterns(self.codes)
@@ -711,15 +723,15 @@ class CodeSpace:
         splits S = g(S) into the images of q's buckets, and g(q) and q have
         the same score: scores are constant on orbits. Then only the lowest
         query of each orbit is scored, from the columns of rows at those
-        queries, or, without rows, from their own rows over S
-        (feedback_rows(reps, indices)), never from len(S) rows.
+        queries, or, without rows, from the ids of S against them alone
+        (feedback_rows(indices, reps)), never from len(S) whole rows.
         """
         if len(indices) == self.size:
             return self._full_scores
         if orbits is not None and not orbits.trivial:
             if rows is None:
-                block = self.feedback_rows(orbits.reps, indices)
-                return orbits.spread(_kernels.max_bucket_sizes(block, self.n_fids))
+                rows = self.feedback_rows(indices, orbits.reps)
+                return orbits.spread(self._column_maxima(rows, None))
             return orbits.spread(self._column_maxima(rows, orbits.reps))
         if rows is None:
             rows = self.feedback_rows(indices)
@@ -735,4 +747,4 @@ class CodeSpace:
 
     def _column_maxima(self, rows: Rows, cols: Optional[np.ndarray]) -> np.ndarray:
         block, at = rows if isinstance(rows, tuple) else (rows, None)
-        return _kernels.column_max_buckets(block, at, self.n_fids, cols)
+        return _kernels.column_max_buckets(block, at, self._realised_ids, cols)

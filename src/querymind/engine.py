@@ -192,26 +192,27 @@ def worst_case_queries(
     per_code = np.full(space.size, -1, dtype=np.int64)
     per_code_win = np.full(space.size, -1, dtype=np.int64)
 
-    def walk(s: SolutionSet, turns: list[Turn], depth: int) -> None:
+    def walk(s: SolutionSet, turns: list[Turn], depth: int, last: int) -> None:
+        """last: index of the query of turns[-1], -1 at the root."""
         if len(s) == 1:
             idx = int(s.indices[0])
             per_code[idx] = depth
-            queried = turns and space.encode(turns[-1][0]) == idx
-            per_code_win[idx] = depth if (queried or depth == 0) else depth + 1
+            per_code_win[idx] = depth if (last == idx or depth == 0) else depth + 1
             return
         if depth >= budget:
             return  # left as -1: not determined within budget
         q = _next_query(strategy, turns, s)
+        qi = space.encode(q)
         # a bucket equal to the whole set is allowed (e.g. a basis query that
         # grows the rank without splitting); the turn budget bounds recursion.
-        # Handing the rows down and popping each child before its walk keeps
-        # only rows of disjoint sets alive.
-        children = s.split(space.encode(q), hand_down=True)
+        # Handing the rows down and popping each child before its walk frees
+        # each block of rows once the sets below it are done.
+        children = s.split(qi, hand_down=True)
         while children:
             r, child = children.pop(0)
-            walk(child, turns + [(q, r)], depth + 1)
+            walk(child, turns + [(q, r)], depth + 1, qi)
 
-    walk(SolutionSet.full(space), [], 0)
+    walk(SolutionSet.full(space), [], 0, -1)
 
     exhausted = [space.decode(int(i)) for i in np.flatnonzero(per_code < 0)]
     determined = per_code[per_code >= 0]

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codespace import Code, CodeSpace, Feedback, Orbits, encode01
+from .codespace import Code, CodeSpace, Feedback, Orbits, Rows, encode01
 from .errors import ContradictionError, DomainError, ProtocolError
 
 Turn = tuple[Code, Feedback]
@@ -41,12 +41,17 @@ class SolutionSet:
     a group of symmetries that maps it onto itself (codespace.Orbits,
     computed only if the set is scored). A set with a non-trivial group is
     scored once per orbit (CodeSpace.minimax_scores): from the rows it
-    holds or its slice source, else from representative rows over the set,
-    so a game builds no rows of its first bucket. A set a sweep split off
-    computes its rows when scored all the same: the sweep hands them down,
-    and its children are then scored from slices, not each from a kernel
-    call of its own (engine.exact_game_value asks each node for its rows
-    for the same reason).
+    holds or its slice source, else from its ids against one query per
+    orbit, so a game builds no rows of its first bucket.
+
+    Sweeps. A set a sweep split off (hand_down) is scored and split
+    straight from its slice source, whatever its orbits, and never copies
+    its rows. Only such a set without a source, a bucket of the whole
+    space, computes its rows when scored, since every set below it then
+    reads them instead of making a kernel call of its own
+    (engine.exact_game_value asks each node for its rows for the same
+    reason). So a sweep holds one such block at a time, shared by the
+    sets below it.
     """
 
     __slots__ = ("space", "indices", "_rows", "_source", "_orbits", "_handed_down")
@@ -87,26 +92,34 @@ class SolutionSet:
                 self._source = None
         return self._rows
 
+    def _held(self) -> Optional[Rows]:
+        """The rows this set holds, or its slice source, or None."""
+        return self._source if self._rows is None else self._rows
+
     def minimax_scores(self) -> np.ndarray:
-        """CodeSpace.minimax_scores of this set. A set with no symmetry, or
-        one a sweep split off, is scored from its rows, computed if need
-        be; any other set passes the rows it holds or its slice source, or
-        none, and its orbits."""
+        """CodeSpace.minimax_scores of this set. A set a sweep split off
+        passes its rows or slice source, computing its rows if it has
+        neither, and its orbits; any other set with no symmetry is scored
+        from its rows, computed if need be; the rest pass what they hold,
+        or none, and their orbits."""
         space, orbits = self.space, self._orbits
         if len(self) == space.size:
             return space.minimax_scores(self.indices)
-        if orbits is None or orbits.trivial:
-            return space.minimax_scores(self.indices, self.rows())
         if self._handed_down:
-            return space.minimax_scores(self.indices, self.rows(), orbits)
-        rows = self._source if self._rows is None else self._rows
-        return space.minimax_scores(self.indices, rows, orbits)
+            held = self._held()
+            rows = self.rows() if held is None else held
+            return space.minimax_scores(self.indices, rows, orbits)
+        if orbits is None or orbits.trivial:
+            # hold no reference to the slice source: rows() copies from it
+            # and drops it, which frees the parent's block
+            return space.minimax_scores(self.indices, self.rows())
+        return space.minimax_scores(self.indices, self._held(), orbits)
 
     def member_scores(self) -> Optional[np.ndarray]:
         """CodeSpace.member_scores of this set from the rows it holds or
         its slice source, or None if it has neither."""
-        rows = self._source if self._rows is None else self._rows
-        return None if rows is None else self.space.member_scores(self.indices, rows)
+        held = self._held()
+        return None if held is None else self.space.member_scores(self.indices, held)
 
     def split(
         self, qi: int, hand_down: bool = False
@@ -115,14 +128,14 @@ class SolutionSet:
         child) pairs in ascending packed-id order; each child keeps the
         order of indices.
 
-        If this set holds rows, children of two or more codes take slices
-        of them: when first scored, or at once with hand_down, after which
-        this set drops its own. A sweep hands down, so the rows it holds
-        belong to disjoint sets.
+        If this set holds rows or a slice source, children of two or more
+        codes get slice sources into the same block, which a child copies
+        only if it asks for its rows. With hand_down (a sweep) this set
+        then drops its references, so the block lives as long as the sets
+        below it and no longer.
         """
-        block, at = self._rows, None
-        if block is None and self._source is not None:
-            block, at = self._source
+        held = self._held()
+        block, at = held if isinstance(held, tuple) else (held, None)
         if block is None:
             column = self.space.query_column(qi, self.indices)
         else:
@@ -137,8 +150,6 @@ class SolutionSet:
             child._orbits, child._handed_down = orbits, hand_down
             if block is not None and len(pos) > 1:
                 child._source = (block, pos if at is None else at[pos])
-                if hand_down:
-                    child.rows()
             children.append((fb, child))
         if hand_down:
             self._rows = self._source = None

@@ -363,12 +363,14 @@ class TestWorstCase:
     def test_memory_check_counts_two_tables(
         self, n, k, spare, code, tmp_path, capsys, monkeypatch
     ):
-        # a sweep holds rows of disjoint sets plus one copy of the set it
-        # splits, up to twice the table on (1,40), and the generators of
-        # one code; one byte short of that is refused before enumerating
+        # a sweep holds the rows of one bucket of the whole space at a
+        # time, within one table even on (1,40) where that bucket is all
+        # but one code, and the generators of one code; one byte short of
+        # that is refused before enumerating (the name is from when a
+        # sweep copied the set it split and worst-case checked two tables)
         config = VariantConfig(n, k)
         size = config.space_size
-        need = _kernels.feedback_bytes(2 * size, size, n, k, True) + generator_bytes(config)
+        need = _kernels.feedback_bytes(size, size, n, k, True) + generator_bytes(config)
         pages = {"SC_PHYS_PAGES": need + spare, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr("querymind.codespace.os.sysconf", pages.__getitem__)
         argv = ["worst-case", "--n", str(n), "--k", str(k), "--strategy", "minimax"]

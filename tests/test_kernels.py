@@ -118,7 +118,7 @@ def test_column_max_buckets_against_bincount(rows, width):
     rng = np.random.default_rng(width)
     table = rng.integers(0, 9, size=(60, width)).astype(np.int16)
     rows = np.array(rows, dtype=np.int64)
-    out = _kernels.column_max_buckets(table, rows, 9)
+    out = _kernels.column_max_buckets(table, rows, range(9))
     assert out.dtype == np.int64 and out.shape == (width,)
     want = [np.bincount(table[rows, j], minlength=9).max() if len(rows) else 0
             for j in range(width)]
@@ -133,7 +133,7 @@ def test_column_max_buckets_of_some_columns(rows, width):
     # every third column from the last, then the first one again
     cols = np.array([*range(width - 1, -1, -3), 0][:width], dtype=np.int64)
     at = np.arange(60) if rows is None else np.array(rows, dtype=np.int64)
-    out = _kernels.column_max_buckets(table, None if rows is None else at, 9, cols)
+    out = _kernels.column_max_buckets(table, None if rows is None else at, range(9), cols)
     assert out.dtype == np.int64 and out.shape == (len(cols),)
     assert out.tolist() == [np.bincount(table[at, j], minlength=9).max() for j in cols]
 
@@ -155,3 +155,37 @@ def test_minimax_scores_against_column_reference(cfg):
         for s in (indices, np.sort(indices)):
             want = [np.bincount(table[q, s]).max() for q in range(space.size)]
             assert space.minimax_scores(s).tolist() == want
+
+
+@pytest.mark.parametrize("n_rows", [0, 254, 255, 256, 511, 600])
+@pytest.mark.parametrize("layout", ["slices", "gathered", "transposed"])
+def test_column_max_buckets_past_one_uint8_block(n_rows, layout):
+    # column 0 holds one id in every row: its count reaches 255 within one
+    # block and passes it only by adding blocks
+    rng = np.random.default_rng(n_rows)
+    table = rng.integers(0, 9, size=(n_rows, 40)).astype(np.int16)
+    table[:, 0] = 4
+    if layout == "slices":
+        out = _kernels.column_max_buckets(table, None, range(9))
+    elif layout == "gathered":
+        order = rng.permutation(n_rows)
+        out = _kernels.column_max_buckets(table[order], np.argsort(order), range(9))
+    else:
+        # max_bucket_sizes reads its rows of ids as the columns of a view
+        out = _kernels.max_bucket_sizes(np.ascontiguousarray(table.T), 9)
+    assert out.dtype == np.int64 and out.shape == (40,)
+    want = [np.bincount(table[:, j], minlength=9).max() if n_rows else 0 for j in range(40)]
+    assert out.tolist() == want
+    assert n_rows == 0 or out[0] == n_rows
+
+
+@pytest.mark.parametrize("n_rows", [7, 300])
+def test_column_max_buckets_of_the_ids_that_occur(n_rows):
+    # counting only the ids that occur gives the same maxima
+    rng = np.random.default_rng(n_rows)
+    ids = [0, 2, 5, 7]
+    table = rng.choice(np.array(ids, dtype=np.int16), size=(n_rows, 137))
+    rows = rng.permutation(n_rows)[: n_rows - 3]
+    out = _kernels.column_max_buckets(table, rows, ids)
+    want = [np.bincount(table[rows, j]).max() for j in range(137)]
+    assert out.tolist() == want

@@ -110,16 +110,22 @@ class TestSolutionSetRows:
         assert np.array_equal(parent.rows(), table[parent.indices])
 
     def test_hand_down_leaves_rows_only_with_the_children(self, perm3):
+        # children of a sweep read slices of the parent's one block, which
+        # the parent drops; scoring them copies nothing
         cfg, space = perm3
         table = space.feedback_rows(np.arange(space.size))
         parent = SolutionSet(space, [0, 1, 2, 3, 4])
-        parent.rows()
-        children = parent.split(0, hand_down=True)
+        block = parent.rows()
+        children = [child for _, child in parent.split(0, hand_down=True)]
         assert parent._rows is None and parent._source is None
-        for _, child in children:
+        assert sum(len(child) > 1 for child in children) == 2
+        for child in children:
             if len(child) > 1:
-                assert child._source is None
-                assert np.array_equal(child._rows, table[child.indices])
+                assert child._rows is None and child._source[0] is block
+                want = [np.bincount(table[q, child.indices]).max() for q in range(space.size)]
+                assert child.minimax_scores().tolist() == want
+                assert child._rows is None and child._source[0] is block
+                assert np.array_equal(child.rows(), table[child.indices])
 
     def test_whole_space_holds_no_rows(self):
         space = CodeSpace.enumerate(VariantConfig(4, 4))
@@ -221,7 +227,7 @@ class TestOrbitScores:
                 symmetric = s._orbits is not None and not s._orbits.trivial
                 held = s._rows is not None or s._source is not None
                 paths.add((symmetric, held))
-                want = _kernels.column_max_buckets(table, s.indices, space.n_fids)
+                want = _kernels.column_max_buckets(table, s.indices, range(space.n_fids))
                 assert s.minimax_scores().tolist() == want.tolist()
                 return super().next_query(history, s)
 
@@ -241,7 +247,7 @@ class TestOrbitScores:
         )
         s = SolutionSet(space, picks)
         s.rows()
-        scores = _kernels.column_max_buckets(table, s.indices, space.n_fids)
+        scores = _kernels.column_max_buckets(table, s.indices, range(space.n_fids))
         floor = -(-(len(s) - 1) // (space.n_realised_fids - 1))
         assert scores.min() >= floor
         tied = np.flatnonzero(scores == scores.min())
