@@ -186,9 +186,13 @@ def _config_from(args: argparse.Namespace, required: Optional[Mode] = None) -> V
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = os.environ.get("QUERYMIND_OUT") or args.out
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(os.environ.get("QUERYMIND_OUT") or args.out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(
+            f"cannot create output directory {str(path)!r}: {exc.strerror or exc}"
+        ) from None
     return path
 
 
@@ -218,6 +222,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _space_budget(args: argparse.Namespace, default: int) -> int:
+    """--space-budget, or default if it is not given; DomainError if it is
+    negative."""
+    budget = default if args.space_budget is None else args.space_budget
+    if budget < 0:
+        raise DomainError(f"space budget must be >= 0, got {budget}")
+    return budget
+
+
 def _table_space(
     args: argparse.Namespace,
     config: VariantConfig,
@@ -229,7 +242,7 @@ def _table_space(
     checked first, then the memory, so a refused request costs no
     enumeration; extra_bytes is only called on a space within the budget."""
     default, name = _TABLE_BUDGETS[args.command]
-    budget = default if args.space_budget is None else args.space_budget
+    budget = _space_budget(args, default)
     if config.space_size > budget:
         raise CapacityError(
             f"space size {config.space_size} exceeds {name} budget {budget}"
@@ -332,10 +345,7 @@ def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
 def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
     config = _config_from(args, Mode.NON_ADAPTIVE)
     if args.queries_file is not None:
-        budget = args.space_budget
-        space = CodeSpace.enumerate(
-            config, DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-        )
+        space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
         qs = nonadaptive.QuerySet.from_file(args.queries_file, config)
         report = nonadaptive.is_identifiable(qs, space)
         _write_result(out, "nonadaptive_check", args, "report", report.to_json())

@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from . import _kernels
 from .errors import CapacityError, DomainError, InvalidCodeError
 
 Code = tuple[int, ...]
-# feedback rows of a solution set: its own block, or (block, positions) of a
-# superset's block
-Rows = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
+# feedback rows of a solution set: a block of rows, and the positions of
+# the set's codes among them, ascending and distinct
+Rows = tuple[np.ndarray, np.ndarray]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 KEY_CELLS = 1 << 20  # key cells per block of CodeSpace.stabiliser rows
@@ -206,14 +206,15 @@ def check_table_memory(
     command can check first.
 
     The table commands check a whole (size, size) table, though only the
-    non-adaptive search builds one. A game or sweep holds rows of solution
-    sets below the root (strategies.SolutionSet), within one table. A
-    sweep holds the rows of one bucket of the whole space at a time, which
-    the sets below it read without copying them (perm-7: 1855 x 5040 ids,
-    18.7 MB). A game holds the set it follows and one child. Its first
-    bucket is scored from its ids against one query per symmetry orbit
-    (minimax_scores), so the largest block a perm-7 game builds is
-    678 x 5040 ids, not the first bucket's 1855 x 5040.
+    non-adaptive search builds one. A game, sweep or exact search holds
+    blocks of rows of disjoint solution sets below the root, which the
+    sets below them view without copying (strategies.SolutionSet), so it
+    stays within one table beside the rows of single queries that
+    CodeSpace.query_column keeps. A sweep holds the rows of one bucket of
+    the whole space at a time (perm-7: 1855 x 5040 ids, 18.7 MB). A game
+    holds one block: its first bucket is scored from its ids against one
+    query per symmetry orbit (minimax_scores), so the block a perm-7 game
+    builds is at most 678 x 5040 ids, not the first bucket's 1855 x 5040.
     """
     need = extra + _kernels.feedback_bytes(
         rows, cols, config.n, config.k, config.feedback is FeedbackMode.BLACK_WHITE
@@ -226,6 +227,15 @@ def check_table_memory(
             + (f" ({extra} of them beside the table)" if extra else "")
             + f", over physical memory of {physical} bytes"
         )
+
+
+def _gathered(rows: Rows) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The block of rows and the positions the bucket-counting kernel
+    gathers, None if the rows cover the block: their positions ascend and
+    are distinct, so they are every row in order, read as slices with no
+    gathered copy."""
+    block, at = rows
+    return block, None if len(at) == len(block) else at
 
 
 def _count_patterns(n: int, most: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -713,7 +723,7 @@ class CodeSpace:
         orbits: Optional[Orbits] = None,
     ) -> np.ndarray:
         """Largest response bucket over the distinct codes at indices, for
-        every query (by index); shape (size,) int64. rows, if given, are
+        every query (by index); shape (size,) int64. rows, if given, view
         the rows of indices (see member_scores). The whole space is scored
         from one row per orbit (_full_scores, read-only), never from size
         rows.
@@ -728,23 +738,20 @@ class CodeSpace:
         """
         if len(indices) == self.size:
             return self._full_scores
-        if orbits is not None and not orbits.trivial:
-            if rows is None:
-                rows = self.feedback_rows(indices, orbits.reps)
-                return orbits.spread(self._column_maxima(rows, None))
-            return orbits.spread(self._column_maxima(rows, orbits.reps))
+        symmetric = orbits is not None and not orbits.trivial
+        cols = orbits.reps if symmetric else None
         if rows is None:
-            rows = self.feedback_rows(indices)
-        return self._column_maxima(rows, None)
+            block, at = self.feedback_rows(indices, cols), None
+            cols = None  # the block holds only those columns
+        else:
+            block, at = _gathered(rows)
+        scores = _kernels.column_max_buckets(block, at, self._realised_ids, cols)
+        return orbits.spread(scores) if symmetric else scores
 
     def member_scores(self, indices: np.ndarray, rows: Rows) -> np.ndarray:
         """Largest response bucket over the codes at indices of each of
         those codes as a query, read from their |S| x |S| block of rows;
-        shape (len(indices),) int64. rows are feedback_rows(indices), or a
-        pair (block, at): rows of a superset and the positions of indices
-        among them."""
-        return self._column_maxima(rows, indices)
-
-    def _column_maxima(self, rows: Rows, cols: Optional[np.ndarray]) -> np.ndarray:
-        block, at = rows if isinstance(rows, tuple) else (rows, None)
-        return _kernels.column_max_buckets(block, at, self._realised_ids, cols)
+        shape (len(indices),) int64. rows are a pair (block, at): rows of
+        a superset of indices and the positions of indices among them."""
+        block, at = _gathered(rows)
+        return _kernels.column_max_buckets(block, at, self._realised_ids, indices)

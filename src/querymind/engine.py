@@ -205,14 +205,15 @@ def worst_case_queries(
         qi = space.encode(q)
         # a bucket equal to the whole set is allowed (e.g. a basis query that
         # grows the rank without splitting); the turn budget bounds recursion.
-        # Handing the rows down and popping each child before its walk frees
-        # each block of rows once the sets below it are done.
-        children = s.split(qi, hand_down=True)
+        # Every set below a bucket of the whole space views that bucket's
+        # block (SolutionSet); popping each child before its walk frees a
+        # block once the sets below it are done, so the sweep holds one.
+        children = s.split(qi)
         while children:
             r, child = children.pop(0)
             walk(child, turns + [(q, r)], depth + 1, qi)
 
-    walk(SolutionSet.full(space), [], 0, -1)
+    walk(SolutionSet.full(space, walk=True), [], 0, -1)
 
     exhausted = [space.decode(int(i)) for i in np.flatnonzero(per_code < 0)]
     determined = per_code[per_code >= 0]
@@ -311,8 +312,6 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
         key = s.indices.tobytes()
         if failed.get(key, -1) >= depth:
             return False
-        if group is not None:
-            s.rows()  # split by many queries: the children slice these rows
         scores = s.minimax_scores()
         seen_partitions: set[tuple[bytes, ...]] = set()
         for qi in np.argsort(scores, kind="stable").tolist():
@@ -345,7 +344,7 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
         failed[key] = depth
         return False
 
-    root = SolutionSet.full(space)
+    root = SolutionSet.full(space, walk=True)
     depth = ceil_log(base, space.size)
     while depth <= cap:
         if within(root, depth, None):

@@ -57,11 +57,14 @@ class QuerySet:
     @classmethod
     def from_file(cls, path: str, config: VariantConfig) -> "QuerySet":
         queries = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    queries.append(parse_code(line))
+        try:
+            with open(path) as fh:
+                for line in fh:
+                    line = line.split("#", 1)[0].strip()
+                    if line:
+                        queries.append(parse_code(line))
+        except OSError as exc:
+            raise DomainError(f"cannot read query file {path!r}: {exc.strerror or exc}") from None
         return cls(config=config, queries=tuple(queries))
 
 
@@ -163,6 +166,8 @@ def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
       (n+1)**left codes: each query left splits a class into at most n + 1
       black-peg counts.
     """
+    if s_cap < 0:
+        raise DomainError(f"set size cap must be >= 0, got {s_cap}")
     config = space.config
     if space.size == 1:
         return MinSizeResult(0, False, QuerySet(config, ()))

@@ -27,47 +27,54 @@ Turn = tuple[Code, Feedback]
 class SolutionSet:
     """Immutable set of code-space indices consistent with a transcript.
 
-    Feedback rows. A set scored by minimax holds the feedback rows of its
-    codes (CodeSpace.feedback_rows), or a slice source: its parent's rows
-    and its positions among them. Its children from split take their rows
-    as slices of these, never from the kernel, and since feedback ids are
-    symmetric the split by query q reads column q of the rows. Down a tree
-    each code's row is therefore computed at most once. The whole space
-    holds no rows: it is scored from one row per orbit and split by the row
-    of the query played (CodeSpace.query_column), as is every set of a
-    strategy that never scores.
+    Feedback rows. One rule, decided here alone, says which sets hold rows.
+    A set below the whole space that is scored while it holds nothing
+    computes one block, the feedback rows of its codes against every code
+    (CodeSpace.feedback_rows), and holds the view (block, positions of its
+    codes among the block's rows); every set split from a set with a view
+    holds a view of the same block. So nothing copies rows: a block lives
+    as long as the last set that views it, and down a tree each code's row
+    is computed at most once. Feedback ids are symmetric, so the split by
+    query q reads column q of the view. The whole space holds no rows: it
+    is scored from one row per orbit and split by the row of the query
+    played (CodeSpace.query_column), as is every set of a strategy that
+    never scores.
 
     Symmetries. Every set split from the whole space carries the Orbits of
     a group of symmetries that maps it onto itself (codespace.Orbits,
     computed only if the set is scored). A set with a non-trivial group is
-    scored once per orbit (CodeSpace.minimax_scores): from the rows it
-    holds or its slice source, else from its ids against one query per
-    orbit, so a game builds no rows of its first bucket.
+    scored once per orbit (CodeSpace.minimax_scores): from the columns of
+    its view, or without one from its ids against one query per orbit.
 
-    Sweeps. A set a sweep split off (hand_down) is scored and split
-    straight from its slice source, whatever its orbits, and never copies
-    its rows. Only such a set without a source, a bucket of the whole
-    space, computes its rows when scored, since every set below it then
-    reads them instead of making a kernel call of its own
-    (engine.exact_game_value asks each node for its rows for the same
-    reason). So a sweep holds one such block at a time, shared by the
-    sets below it.
+    Walks. In a walk that scores every child (walk: a sweep or the exact
+    solver) a scored set without a view computes its block whatever its
+    group, since every set below it then reads the block instead of making
+    a kernel call of its own: a walk holds the blocks of disjoint sets, at
+    most one table. A game follows one child, so there only a set with a
+    trivial group computes a block, and a game's first bucket is scored
+    from one query per orbit instead.
     """
 
-    __slots__ = ("space", "indices", "_rows", "_source", "_orbits", "_handed_down")
+    __slots__ = ("space", "indices", "view", "_orbits", "_walk")
 
-    def __init__(self, space: CodeSpace, indices: np.ndarray) -> None:
+    def __init__(
+        self,
+        space: CodeSpace,
+        indices: np.ndarray,
+        view: Optional[Rows] = None,
+        orbits: Optional[Orbits] = None,
+        walk: bool = False,
+    ) -> None:
         self.space = space
         self.indices = np.asarray(indices, dtype=np.int64)
-        self._rows: Optional[np.ndarray] = None
-        # (rows of a superset, positions of this set's codes among them)
-        self._source: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._orbits: Optional[Orbits] = None
-        self._handed_down = False  # split off by hand_down: a sweep
+        self.view = view  # (block of rows, positions of this set's codes)
+        self._orbits = orbits
+        self._walk = walk
 
     @classmethod
-    def full(cls, space: CodeSpace) -> "SolutionSet":
-        return cls(space, np.arange(space.size, dtype=np.int64))
+    def full(cls, space: CodeSpace, walk: bool = False) -> "SolutionSet":
+        """The whole space; walk: every set split below it is scored."""
+        return cls(space, np.arange(space.size, dtype=np.int64), walk=walk)
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -80,79 +87,41 @@ class SolutionSet:
             raise DomainError(f"solution set has {len(self)} members, not 1")
         return self.space.decode(int(self.indices[0]))
 
-    def rows(self) -> np.ndarray:
-        """Feedback rows of the codes of this set, (len, size) int16: sliced
-        from its parent's if it has them, else computed."""
-        if self._rows is None:
-            if self._source is None:
-                self._rows = self.space.feedback_rows(self.indices)
-            else:
-                block, at = self._source
-                self._rows = block[at]
-                self._source = None
-        return self._rows
-
-    def _held(self) -> Optional[Rows]:
-        """The rows this set holds, or its slice source, or None."""
-        return self._source if self._rows is None else self._rows
-
     def minimax_scores(self) -> np.ndarray:
-        """CodeSpace.minimax_scores of this set. A set a sweep split off
-        passes its rows or slice source, computing its rows if it has
-        neither, and its orbits; any other set with no symmetry is scored
-        from its rows, computed if need be; the rest pass what they hold,
-        or none, and their orbits."""
+        """CodeSpace.minimax_scores of this set, from its view and orbits;
+        a set below the whole space without a view first computes its
+        block, in a walk or if its group is trivial."""
         space, orbits = self.space, self._orbits
         if len(self) == space.size:
             return space.minimax_scores(self.indices)
-        if self._handed_down:
-            held = self._held()
-            rows = self.rows() if held is None else held
-            return space.minimax_scores(self.indices, rows, orbits)
-        if orbits is None or orbits.trivial:
-            # hold no reference to the slice source: rows() copies from it
-            # and drops it, which frees the parent's block
-            return space.minimax_scores(self.indices, self.rows())
-        return space.minimax_scores(self.indices, self._held(), orbits)
+        if self.view is None and (self._walk or orbits is None or orbits.trivial):
+            self.view = (space.feedback_rows(self.indices), np.arange(len(self)))
+        return space.minimax_scores(self.indices, self.view, orbits)
 
     def member_scores(self) -> Optional[np.ndarray]:
-        """CodeSpace.member_scores of this set from the rows it holds or
-        its slice source, or None if it has neither."""
-        held = self._held()
-        return None if held is None else self.space.member_scores(self.indices, held)
+        """CodeSpace.member_scores of this set from its view, or None if it
+        has none."""
+        return None if self.view is None else self.space.member_scores(self.indices, self.view)
 
-    def split(
-        self, qi: int, hand_down: bool = False
-    ) -> list[tuple[Feedback, "SolutionSet"]]:
+    def split(self, qi: int) -> list[tuple[Feedback, "SolutionSet"]]:
         """Non-empty response buckets of query index qi, as (response,
         child) pairs in ascending packed-id order; each child keeps the
-        order of indices.
-
-        If this set holds rows or a slice source, children of two or more
-        codes get slice sources into the same block, which a child copies
-        only if it asks for its rows. With hand_down (a sweep) this set
-        then drops its references, so the block lives as long as the sets
-        below it and no longer.
-        """
-        held = self._held()
-        block, at = held if isinstance(held, tuple) else (held, None)
-        if block is None:
-            column = self.space.query_column(qi, self.indices)
+        order of indices. If this set has a view, children of two or more
+        codes view the same block."""
+        space = self.space
+        if self.view is None:
+            column = space.query_column(qi, self.indices)
         else:
-            column = block[:, qi] if at is None else block[at, qi]
-        if len(self) == self.space.size:
-            orbits: Optional[Orbits] = Orbits(self.space, qi)
+            block, at = self.view
+            column = block[at, qi]
+        if len(self) == space.size:
+            orbits: Optional[Orbits] = Orbits(space, qi)
         else:
             orbits = None if self._orbits is None else self._orbits.fixing(qi)
         children = []
-        for fb, pos in self.space.buckets(column):
-            child = SolutionSet(self.space, self.indices[pos])
-            child._orbits, child._handed_down = orbits, hand_down
-            if block is not None and len(pos) > 1:
-                child._source = (block, pos if at is None else at[pos])
-            children.append((fb, child))
-        if hand_down:
-            self._rows = self._source = None
+        for fb, pos in space.buckets(column):
+            view = None if self.view is None or len(pos) < 2 else (block, at[pos])
+            children.append((fb, SolutionSet(space, self.indices[pos], view, orbits, self._walk)))
         return children
 
 

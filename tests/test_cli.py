@@ -256,6 +256,52 @@ class TestExitCodes:
         assert code == 2
         assert "capacity error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_queries_file_is_validation(self, kind, tmp_path, capsys):
+        path = tmp_path / "absent.queries" if kind == "missing" else tmp_path
+        argv = ["nonadaptive-search", "--n", "2", "--k", "2", "--queries-file", str(path)]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: cannot read query file")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "nonadaptive_check.json").exists()
+
+    def test_uncreatable_out_dir_is_validation(self, tmp_path, capsys):
+        # a regular file cannot hold a directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["bounds", "--n", "3", "--k", "3", "--out", str(blocker / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: cannot create output directory")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["worst-case"],
+            ["exact-value"],
+            ["adversary-trace"],
+            ["nonadaptive-search"],
+            ["nonadaptive-search", "--queries-file", "absent.queries"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_negative_space_budget_is_validation(self, argv, tmp_path, capsys):
+        config = ["--n", "2", "--k", "2", "--feedback", "b"]
+        for budget, code, err in [("-1", 1, "space budget must be >= 0"), ("0", 2, "capacity error")]:
+            assert run([*argv, *config, "--space-budget", budget, "--out", str(tmp_path)]) == code
+            assert err in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_s_cap_is_validation(self, tmp_path, capsys):
+        argv = ["nonadaptive-search", "--n", "2", "--k", "3", "--feedback", "b"]
+        assert run([*argv, "--s-cap", "-1", "--out", str(tmp_path)]) == 1
+        assert "set size cap must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run([*argv, "--s-cap", "0", "--out", str(tmp_path)]) == 0
+        assert "min size = None (cap exceeded)" in capsys.readouterr().out
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

@@ -191,30 +191,35 @@ class TestWorstCase:
 
 class RowMeter:
     """Records every block of feedback rows that CodeSpace.feedback_rows
-    computes or SolutionSet.rows slices, and the most rows alive at once.
-    A block against fewer codes than the space counts by its cells, in
-    rows of the whole space."""
+    computes (calls counts them) or the bucket-counting kernel reads, so a
+    copy of rows is seen when it is scored, and the most rows alive at
+    once. A block against fewer codes than the space counts by its cells,
+    in rows of the whole space."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, size):
+        self.size = size
         self.live = []  # weak references to the recorded blocks
         self.most_live = 0
         self.largest = 0
-        computed, sliced = CodeSpace.feedback_rows, SolutionSet.rows
-        monkeypatch.setattr(
-            CodeSpace,
-            "feedback_rows",
-            lambda space, *args: self.record(computed(space, *args), space.size),
-        )
-        monkeypatch.setattr(
-            SolutionSet, "rows", lambda s: self.record(sliced(s), s.space.size)
-        )
+        self.calls = 0
+        computed, counted = CodeSpace.feedback_rows, _kernels.column_max_buckets
 
-    def record(self, block, size):
+        def feedback_rows(space, *args):
+            self.calls += 1
+            return self.record(computed(space, *args))
+
+        def column_max_buckets(table, *args):
+            return counted(self.record(table), *args)
+
+        monkeypatch.setattr(CodeSpace, "feedback_rows", feedback_rows)
+        monkeypatch.setattr(_kernels, "column_max_buckets", column_max_buckets)
+
+    def record(self, block):
         self.live = [ref for ref in self.live if ref() is not None]
         if all(ref() is not block for ref in self.live):
             self.live.append(weakref.ref(block))
-            self.largest = max(self.largest, block.size / size)
-            self.most_live = max(self.most_live, sum(ref().size for ref in self.live) / size)
+            self.largest = max(self.largest, block.size / self.size)
+            self.most_live = max(self.most_live, sum(ref().size for ref in self.live) / self.size)
         return block
 
 
@@ -227,7 +232,7 @@ class TestRowBlocks:
         return CodeSpace.enumerate(perm_config(6))
 
     def test_games_compute_no_table(self, perm6, monkeypatch):
-        meter = RowMeter(monkeypatch)
+        meter = RowMeter(monkeypatch, perm6.size)
         for idx in (0, 359, 719):
             t = play_honest(get_strategy("minimax"), perm6.decode(idx), perm6)
             assert t.solution == perm6.decode(idx)
@@ -237,14 +242,13 @@ class TestRowBlocks:
         # the rows of the 90 codes left after the adversary's second
         # answer, which has no symmetry left (265 rows before orbit scoring)
         assert meter.largest == 90
-        # a child copies its rows from its parent's block, which is freed
-        # at once: beside the largest block only two rows of single queries
-        # stay, which CodeSpace.query_column keeps
+        # the sets below it view that block and copy nothing: beside it only
+        # two rows of single queries stay, which CodeSpace.query_column keeps
         assert meter.most_live <= meter.largest + 2
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_sweep_live_rows_stay_within_the_space(self, perm6, monkeypatch, name):
-        meter = RowMeter(monkeypatch)
+        meter = RowMeter(monkeypatch, perm6.size)
         if name != "minimax":
             # strategies that never score never compute symmetries either
             def generators(self, qi):
@@ -262,10 +266,10 @@ class TestRowBlocks:
     )
     def test_sweep_rows_within_two_tables(self, config, monkeypatch):
         # the first query's largest bucket is over half the space; the sets
-        # below it read its rows as slice sources, never copies, so the
-        # sweep stays within the one table worst-case checks for
+        # below it view its rows and never copy them, so the sweep stays
+        # within the one table worst-case checks for
         space = CodeSpace.enumerate(config)
-        meter = RowMeter(monkeypatch)
+        meter = RowMeter(monkeypatch, space.size)
         worst_case_queries(get_strategy("minimax"), space)
         assert meter.most_live <= space.size
 
@@ -338,6 +342,25 @@ class TestExactGameValue:
         # the minimax sweep reaches 6 too, so the value is not higher
         space = CodeSpace.enumerate(perm_config(6))
         assert exact_game_value(space) == ExactGameValue(6, False)
+
+    @pytest.mark.parametrize(
+        "config, value, calls",
+        [(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY), 5, 10), (perm_config(6), 6, 8)],
+        ids=["3-4-b", "perm6"],
+    )
+    def test_solver_rows_within_one_table(self, config, value, calls, monkeypatch):
+        # each bucket of the whole space computes one block when it is
+        # scored and every node below it views that block, so the solver
+        # holds rows of disjoint sets, plus the whole rows of single queries
+        # that CodeSpace.query_column keeps (at most n*k)
+        space = CodeSpace.enumerate(config)
+        meter = RowMeter(monkeypatch, space.size)
+        assert exact_game_value(space) == ExactGameValue(value, False)
+        assert meter.most_live <= space.size + config.n * config.k
+        # kernel calls: the root rows, query rows and one block per bucket
+        # of each split of the whole space, not one per node or per
+        # representative set
+        assert meter.calls == calls
 
     def test_memo_over_budget_is_capacity(self, monkeypatch):
         # perm-4 fails at depth 3 before it passes at 4, so it stores a set

@@ -1,6 +1,7 @@
 """Feedback ids are computed only by CodeSpace (feedback_rows, query_column,
-black_rows), so changing how changes one module; and the searches take an
-enumerated CodeSpace, so only the CLI decides how large a space may be."""
+black_rows), so changing how changes one module; only SolutionSet decides
+which solution sets hold feedback rows; and the searches take an enumerated
+CodeSpace, so only the CLI decides how large a space may be."""
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,9 @@ def test_searches_neither_enumerate_nor_budget(module):
     source = (PACKAGE / module).read_text()
     for name in ("CodeSpace.enumerate", "CapacityError", "space_budget"):
         assert name not in source
+
+
+def test_only_solution_sets_decide_which_hold_rows():
+    source = (PACKAGE / "engine.py").read_text()
+    assert ".rows()" not in source
+    assert ".view" not in source

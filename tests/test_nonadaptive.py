@@ -103,6 +103,12 @@ class TestMinSize:
         res = min_nonadaptive_size(CodeSpace.enumerate(na_config(3)), s_cap=1)
         assert res.capped and res.size is None and res.query_set is None
 
+    def test_negative_cap_rejected(self):
+        space = CodeSpace.enumerate(na_config(3))
+        with pytest.raises(DomainError, match="set size cap must be >= 0"):
+            min_nonadaptive_size(space, s_cap=-1)
+        assert min_nonadaptive_size(space, s_cap=0).capped
+
     def test_result_is_minimal_and_identifiable(self):
         for n, k in [(2, 2), (2, 3), (3, 3), (1, 3)]:
             cfg = na_config(n, k)

@@ -90,6 +90,12 @@ class TestFilterConsistent:
                 assert len(filter_consistent(s, q, Feedback(r))) <= bucket_size(3, r)
 
 
+def _viewed_rows(s):
+    """The rows a solution set's view holds, as a copy."""
+    block, at = s.view
+    return block[at]
+
+
 class TestSolutionSetRows:
     @pytest.mark.parametrize(
         "cfg", [VariantConfig(3, 3), perm_config(4)], ids=["3-3-bw", "perm4-b"]
@@ -98,42 +104,77 @@ class TestSolutionSetRows:
         space = CodeSpace.enumerate(cfg)
         table = space.feedback_rows(np.arange(space.size))
         parent = SolutionSet(space, np.arange(1, space.size, 2))
-        assert np.array_equal(parent.rows(), table[parent.indices])
+        parent.minimax_scores()  # a set without symmetries computes its block
+        assert np.array_equal(_viewed_rows(parent), table[parent.indices])
         for qi in (0, 5, space.size - 1):
             children = parent.split(qi)
             assert [fb for fb, _ in children] == [fb for fb, _ in space.split(qi, parent.indices)]
             for _, child in children:
-                # a grandchild of a child that was never scored slices too
+                # a grandchild of a child that was never scored views too
                 for _, grandchild in child.split(1):
-                    assert np.array_equal(grandchild.rows(), table[grandchild.indices])
-                assert np.array_equal(child.rows(), table[child.indices])
-        assert np.array_equal(parent.rows(), table[parent.indices])
+                    if len(grandchild) > 1:
+                        assert np.array_equal(_viewed_rows(grandchild), table[grandchild.indices])
+                    else:
+                        assert grandchild.view is None  # never scored
+                if len(child) > 1:
+                    assert np.array_equal(_viewed_rows(child), table[child.indices])
+        assert np.array_equal(_viewed_rows(parent), table[parent.indices])
 
-    def test_hand_down_leaves_rows_only_with_the_children(self, perm3):
-        # children of a sweep read slices of the parent's one block, which
-        # the parent drops; scoring them copies nothing
+    def test_hand_down_leaves_rows_only_with_the_children(self, perm3, monkeypatch):
+        # one block: the children view the parent's block, and scoring them
+        # neither copies it nor computes rows
         cfg, space = perm3
         table = space.feedback_rows(np.arange(space.size))
         parent = SolutionSet(space, [0, 1, 2, 3, 4])
-        block = parent.rows()
-        children = [child for _, child in parent.split(0, hand_down=True)]
-        assert parent._rows is None and parent._source is None
+        parent.minimax_scores()
+        block, _ = parent.view
+        children = [child for _, child in parent.split(0)]
+        assert parent.view[0] is block
         assert sum(len(child) > 1 for child in children) == 2
+
+        def computed(*args):
+            raise AssertionError("computed feedback rows")
+
+        monkeypatch.setattr(CodeSpace, "feedback_rows", computed)
         for child in children:
             if len(child) > 1:
-                assert child._rows is None and child._source[0] is block
+                assert child.view[0] is block
                 want = [np.bincount(table[q, child.indices]).max() for q in range(space.size)]
                 assert child.minimax_scores().tolist() == want
-                assert child._rows is None and child._source[0] is block
-                assert np.array_equal(child.rows(), table[child.indices])
+                assert child.view[0] is block
+                assert np.array_equal(_viewed_rows(child), table[child.indices])
 
     def test_whole_space_holds_no_rows(self):
         space = CodeSpace.enumerate(VariantConfig(4, 4))
         s = SolutionSet.full(space)
         minimax_next(s)
         children = s.split(0)
-        assert s._rows is None
-        assert all(child._rows is None and child._source is None for _, child in children)
+        assert s.view is None
+        assert all(child.view is None for _, child in children)
+
+    def test_only_a_walk_computes_rows_of_a_symmetric_set(self, monkeypatch):
+        # the buckets of the whole space keep symmetries: a game scores them
+        # from one query per orbit, a walk computes their one block
+        space = CodeSpace.enumerate(perm_config(5))
+        space.n_realised_fids  # computes the root rows first
+        shapes = []
+        computed = CodeSpace.feedback_rows
+
+        def record(space, *args):
+            block = computed(space, *args)
+            shapes.append(block.shape)
+            return block
+
+        monkeypatch.setattr(CodeSpace, "feedback_rows", record)
+        for walk in (False, True):
+            children = SolutionSet.full(space, walk=walk).split(0)
+            bucket = max((child for _, child in children), key=len)
+            shapes.clear()
+            bucket.minimax_scores()
+            assert (bucket.view is not None) == walk
+            width = space.size if walk else len(bucket._orbits.reps)
+            assert shapes == [(len(bucket), width)]
+            assert width < space.size or walk
 
 
 class TestMinimax:
@@ -225,7 +266,7 @@ class TestOrbitScores:
         class Checked(MinimaxStrategy):
             def next_query(self, history, s):
                 symmetric = s._orbits is not None and not s._orbits.trivial
-                held = s._rows is not None or s._source is not None
+                held = s.view is not None
                 paths.add((symmetric, held))
                 want = _kernels.column_max_buckets(table, s.indices, range(space.n_fids))
                 assert s.minimax_scores().tolist() == want.tolist()
@@ -246,7 +287,7 @@ class TestOrbitScores:
             st.lists(st.integers(0, space.size - 1), min_size=2, max_size=12, unique=True)
         )
         s = SolutionSet(space, picks)
-        s.rows()
+        s.minimax_scores()  # a set without symmetries computes its block
         scores = _kernels.column_max_buckets(table, s.indices, range(space.n_fids))
         floor = -(-(len(s) - 1) // (space.n_realised_fids - 1))
         assert scores.min() >= floor
@@ -258,7 +299,7 @@ class TestOrbitScores:
     def test_member_at_the_floor_skips_scoring(self, perm3, monkeypatch):
         cfg, space = perm3
         s = SolutionSet(space, [4, 1])
-        s.rows()
+        s.minimax_scores()  # a set without symmetries computes its block
 
         def scored(self):
             raise AssertionError("scored every query")
