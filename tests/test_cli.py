@@ -631,6 +631,22 @@ PINNED_ARTIFACTS = {
         "worst_case.csv": "cb6dcfd284880bf882ea92809452af8ec7bdbea488e6f0961b2ffb99119d0ac6",
         "worst_case.json": "d7b74fde6232ea33824e95efbacd58f676937a8aa91f9bf8f45388823a103c00",
     },
+    "worst-case --n 4 --k 6 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 25 --space-budget 1296": {
+        "worst_case.csv": "815a54ef70af2674c382bee8e222df6d8dfded36fb782d47eb9032ca24a2d380",
+        "worst_case.json": "0fb5ba8471b48ceef27b6b189a5d6c20e5f948b1eade51851691a64108374c30",
+    },
+    "worst-case --n 12 --k 2 --feedback b --repeats yes --mode adaptive --strategy minimax --turn-budget 25 --space-budget 4096": {
+        "worst_case.csv": "4fba24a04ab45252985c007cf6e22439f7370c17ede2bd58857d76fc66e02e9a",
+        "worst_case.json": "a51f8741c316f4c8c817df44c36d8cc91eca442b2a0a594ce1fc452919345bed",
+    },
+    "worst-case --n 12 --k 2 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 25 --space-budget 4096": {
+        "worst_case.csv": "80f1e718f60dacfb41531aaed20e4a4277b477e8589464d6532aa0bc8d9e4673",
+        "worst_case.json": "0a20df3e690e1b61b8fd14b188a806d7b0a9ae7e5baf4f1e7c5d054abed83086",
+    },
+    "worst-case --n 7 --k 7 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 50 --space-budget 5040": {
+        "worst_case.csv": "c0503e6b6f3948f6cc00aa038da0b097c1384db01a6b3b2cc30c4929997f204a",
+        "worst_case.json": "d44d15e7df7899793f2c6c5967c0ae425594d7f2b4fb07f063a579549cbbc59f",
+    },
     "adversary-trace --n 5 --k 5 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 26 --space-budget 120": {
         "adversary_trace.csv": "2cb97c82671f0078d3c87800ecba6cbdc9d6b327d0ca8e54ab89b1ec53c9497c",
         "adversary_trace.json": "eb3b90e4b3fc239dfd64f544c51364f6b07f8a2a585d517e8d55023b237dc33d",
