@@ -34,9 +34,8 @@ from .codespace import (
     VariantConfig,
     check_table_memory,
     format_code,
-    generator_bytes,
     parse_code,
-    stabiliser_bytes,
+    symmetry_bytes,
 )
 from .combinatorics import bound_report
 from .errors import (
@@ -212,14 +211,25 @@ def _write_result(
     """Write out/<stem>.json: the schema version, the resolved spec and body."""
     payload = {"schema_version": SCHEMA_VERSION, "spec": _resolved_spec(args), key: body}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    (out / f"{stem}.json").write_text(text)
+    path = out / f"{stem}.json"
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+
+
+def _unwritable(path: Path, exc: OSError) -> DomainError:
+    return DomainError(f"cannot write artifact {str(path)!r}: {exc.strerror or exc}")
 
 
 def _space_budget(args: argparse.Namespace, default: int) -> int:
@@ -254,7 +264,7 @@ def _table_space(
 
 
 def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), generator_bytes)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), symmetry_bytes)
     if args.hidden is not None:
         hidden = parse_code(args.hidden)
     else:
@@ -274,7 +284,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), generator_bytes)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), symmetry_bytes)
     strategy = get_strategy(args.strategy)
     result = engine.worst_case_queries(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "worst_case", args, "result", result.to_json())
@@ -299,9 +309,7 @@ def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
-    config = _config_from(args, Mode.ADAPTIVE)
-    # the solver keeps the symmetries of its root queries
-    space = _table_space(args, config, stabiliser_bytes)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), symmetry_bytes)
     result = engine.exact_game_value(space, depth_cap=args.turn_budget)
     _write_result(out, "exact_value", args, "result", result.to_json())
     capped = " (depth cap reached)" if result.capped else ""
@@ -326,7 +334,7 @@ def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), generator_bytes)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), symmetry_bytes)
     strategy = get_strategy(args.strategy)
     transcript = engine.play_adversarial(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "adversary_trace", args, "transcript", transcript.to_json())

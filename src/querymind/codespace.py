@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,8 @@ Code = tuple[int, ...]
 Rows = tuple[np.ndarray, np.ndarray]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-KEY_CELLS = 1 << 20  # key cells per block of CodeSpace.stabiliser rows
+LABEL_PAIRS = 8  # listed pairs, evenly spaced, that join the orbits of Symmetries
+PAIR_CELLS = 1 << 12  # cells per chunk of candidate pairs in Symmetries.fixing
 
 
 class FeedbackMode(enum.Enum):
@@ -210,11 +211,13 @@ def check_table_memory(
     blocks of rows of disjoint solution sets below the root, which the
     sets below them view without copying (strategies.SolutionSet), so it
     stays within one table beside the rows of single queries that
-    CodeSpace.query_column keeps. A sweep holds the rows of one bucket of
-    the whole space at a time (perm-7: 1855 x 5040 ids, 18.7 MB). A game
-    holds one block: its first bucket is scored from its ids against one
-    query per symmetry orbit (minimax_scores), so the block a perm-7 game
-    builds is at most 678 x 5040 ids, not the first bucket's 1855 x 5040.
+    CodeSpace.query_column keeps; the adaptive commands count the list of
+    one Symmetries as `extra` (symmetry_bytes). A sweep holds the rows of
+    one bucket of the whole space at a time (perm-7: 1855 x 5040 ids,
+    18.7 MB). A game holds one block: each set with symmetries left is
+    scored from its ids against one query per orbit (minimax_scores), so
+    the block a perm-7 game builds is at most 193 x 5040 ids, not the
+    first bucket's 1855 x 5040.
     """
     need = extra + _kernels.feedback_bytes(
         rows, cols, config.n, config.k, config.feedback is FeedbackMode.BLACK_WHITE
@@ -238,56 +241,10 @@ def _gathered(rows: Rows) -> tuple[np.ndarray, Optional[np.ndarray]]:
     return block, None if len(at) == len(block) else at
 
 
-def _count_patterns(n: int, most: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most `parts` parts of size <= most, descending."""
-    if n == 0:
-        yield ()
-    elif parts > 0:
-        for first in range(min(n, most), 0, -1):
-            for rest in _count_patterns(n - first, first, parts - 1):
-                yield (first, *rest)
-
-
-def root_queries(config: VariantConfig) -> list[Code]:
-    """One code per orbit of the whole space under position permutations
-    combined with color relabelings, in ascending (lexicographic) order.
-
-    A code's orbit is fixed by its color-count pattern, the multiplicities
-    of its colors sorted descending: 1111, 1112, 1122, 1123 and 1234 on
-    (4,6), as in Knuth's "The computer as Master Mind" (1977). The code
-    listed, 1^c1 2^c2 ..., is the lowest of its orbit. Without repeats every
-    code has pattern 1^n, so the permutation game has a single orbit.
-    """
-    n, k = config.n, config.k
-    if config.repeats is Repeats.FORBIDDEN:
-        return [tuple(range(1, n + 1))]
-    return sorted(
-        tuple(color for color, count in enumerate(pattern, 1) for _ in range(count))
-        for pattern in _count_patterns(n, n, k)
-    )
-
-
-def stabiliser_bytes(config: VariantConfig) -> int:
-    """Bytes of the CodeSpace.stabiliser of every root query together; needs
-    no enumerated codes. For counts c_j of m colors a stabiliser has
-    prod c_j! times prod over s of (number of colors with count s)!
-    position permutations with a consistent color map, each with
-    1 + f(f-1)/2 maps of the f = k - m unused colors."""
-    rows = 0
-    for q in root_queries(config):
-        counts = [q.count(color) for color in sorted(set(q))]
-        sigmas = math.prod(math.factorial(c) for c in counts)
-        sigmas *= math.prod(math.factorial(counts.count(s)) for s in set(counts))
-        free = config.k - len(counts)
-        rows += sigmas * (1 + free * (free - 1) // 2)
-    return 4 * rows * config.space_size
-
-
-def generator_bytes(config: VariantConfig) -> int:
-    """Bytes of CodeSpace.generators of one code, an upper bound: fewer
-    than n + k int32 index permutations of the space. A minimax game or
-    sweep holds one such table (see Orbits)."""
-    return 4 * (config.n + config.k) * config.space_size
+def symmetry_bytes(config: VariantConfig) -> int:
+    """Bytes of the list of one Symmetries at its cap of space_size pairs,
+    n + k + 1 int16 each; needs no enumerated codes."""
+    return 2 * (config.n + config.k + 1) * config.space_size
 
 
 def orbit_labels(gens: np.ndarray) -> np.ndarray:
@@ -319,51 +276,195 @@ def orbit_labels(gens: np.ndarray) -> np.ndarray:
             return labels
 
 
-class Orbits:
-    """Orbits on the codes of a group of symmetries that maps a solution
-    set onto itself, computed on first use and shared by sibling sets, so a
-    strategy that never scores never pays for them.
+class _Group(NamedTuple):
+    """The symmetries that fix every query played, as Symmetries holds them."""
 
-    The group is generated by rows of CodeSpace.generators(q), q the query
-    that split the whole space: the rows that fix every later query played.
-    Such a row maps each response bucket of a query it fixes onto itself,
-    so the group maps every set on the way down onto itself. Deeper groups
-    keep row numbers into the one generator table, which no set copies.
+    classes: np.ndarray  # (n,) class of each position, numbered from 0
+    free: np.ndarray  # (k + 1,) bool: no query played uses the color
+    sigma: np.ndarray  # (pairs, n) int16
+    tau: np.ndarray  # (pairs, k + 1) int16; tau[:, 0] = 0, free colors fixed
+
+    @property
+    def bare(self) -> bool:
+        """Whether the group is trivial: its one pair is the identity, each
+        class one position, and at most one color is free. Every group
+        below a bare one is bare."""
+        n = len(self.classes)
+        return len(self.tau) == 1 and self.classes.max() == n - 1 and self.free.sum() <= 1
+
+
+def _permutations(s: int) -> np.ndarray:
+    """The permutations of range(s) in lexicographic order, as int16 rows:
+    the first element f, then those of range(s - 1) past f."""
+    rows = np.zeros((1, 0), dtype=np.int16)
+    for m in range(1, s + 1):
+        first, rest = np.divmod(np.arange(math.factorial(m)), math.factorial(m - 1))
+        out = np.empty((len(first), m), dtype=rows.dtype)
+        out[:, 0] = first
+        out[:, 1:] = rows[rest]
+        out[:, 1:] += out[:, 1:] >= out[:, :1]
+        rows = out
+    return rows
+
+
+def _fix(group: _Group, q: np.ndarray, cap: int) -> _Group:
+    """The symmetries in group that also fix the code q, with at most cap
+    pairs.
+
+    A symmetry fixing q maps the colors N that q is the first to use onto
+    themselves, so the candidates are each pair's tau followed by each
+    permutation of N. A pair g = (sigma, tau) sends each class to the
+    class of its positions' images, so a candidate fixes q iff the columns
+    (class, q[i]) of the images of the positions are q's columns, as
+    multisets; sigma then sends the j-th position of each new class to the
+    j-th position of its preimage. Candidates are made PAIR_CELLS cells at
+    a time.
+    """
+    classes, free, sigma, tau = group
+    n, width = len(classes), len(free)
+    keys = classes * width + q
+    order = np.argsort(keys, kind="stable")
+    want = keys[order]
+    moved = np.empty((len(sigma), n), dtype=np.intp)
+    moved[np.arange(len(sigma))[:, None], classes[sigma]] = classes
+    moved = moved[:, classes]  # class of the image of each position
+    new = np.flatnonzero(np.bincount(q, minlength=width).astype(bool) & free)
+    maps = np.tile(np.arange(width, dtype=tau.dtype), (math.factorial(len(new)), 1))
+    maps[:, new] = new[_permutations(len(new))]
+    kept_sigma, kept_tau, kept = [], [], 0
+    step = max(1, PAIR_CELLS // (width + n))
+    candidates = len(tau) * len(maps)
+    for lo in range(0, candidates, step):
+        pair, ext = np.divmod(np.arange(lo, min(candidates, lo + step)), len(maps))
+        taus = maps[ext[:, None], tau[pair]]
+        images = moved[pair] * width + taus[:, q]
+        fits = (np.sort(images, axis=1) == want).all(axis=1)
+        sig = np.empty((int(fits.sum()), n), dtype=sigma.dtype)
+        sig[:, order] = np.argsort(images[fits], axis=1, kind="stable")
+        kept_sigma.append(sig)
+        kept_tau.append(taus[fits])
+        kept += len(sig)
+        if kept >= cap:
+            break
+    now_free = free.copy()
+    now_free[q] = False
+    return _Group(
+        np.unique(keys, return_inverse=True)[1],
+        now_free,
+        np.concatenate(kept_sigma)[:cap],
+        np.concatenate(kept_tau)[:cap],
+    )
+
+
+class Symmetries:
+    """The symmetries of a code space that fix every query played on the
+    way to a solution set S, computed on first use and shared by the sets
+    split by one query, so a strategy that never scores never pays for
+    them. They map S onto itself: each maps every response bucket of a
+    query it fixes onto itself.
+
+    A symmetry (sigma, tau) sends code x to the code whose position i holds
+    tau(x[sigma(i)]); it keeps black and white pegs and the space (Knuth,
+    "The computer as Master Mind", 1977). It fixes the queries q_1..q_m
+    played iff it maps the column (q_1[i], ..., q_m[i]) of every position
+    onto a position with the same column. The group is held in three parts:
+    - classes: positions with equal columns, permuted freely within;
+    - free colors: those no query played uses, permuted freely;
+    - a list of (sigma, tau) pairs, one per color map on the used colors
+      that fixes the queries (the identity first), capped at size pairs
+      (symmetry_bytes).
+    Those parts together give every symmetry fixing the queries, but the
+    list alone can hold n! pairs and needs none for q = 1^n.
+
+    Orbits are those of the group generated by the class permutations, the
+    swaps of neighbouring free colors and LABEL_PAIRS pairs of the list,
+    evenly spaced. The orbits of any group of symmetries of S keep
+    minimax scores exact and exact_game_value's skips sound, so the choice
+    of pairs moves only speed, never a result.
     """
 
-    def __init__(self, space: "CodeSpace", qi: int, parent: Optional["Orbits"] = None):
+    def __init__(self, space: "CodeSpace", parent: Optional["Symmetries"] = None, qi: int = 0):
         self._space = space
-        self._qi = qi
         self._parent = parent
+        self._qi = qi
 
-    def fixing(self, qi: int) -> "Orbits":
-        """The orbits of the children of a split by query qi."""
-        return Orbits(self._space, qi, self)
+    def fixing(self, qi: int) -> "Symmetries":
+        """The symmetries of the children of a split by query qi."""
+        return Symmetries(self._space, self, qi)
 
     @functools.cached_property
-    def _generators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The generator table, and the rows of it in this group."""
+    def _group(self) -> _Group:
+        space = self._space
         if self._parent is None:
-            table = self._space.generators(self._qi)
-            return table, np.arange(len(table))
-        table, rows = self._parent._generators
+            n, k = space.config.n, space.config.k
+            return _Group(
+                np.zeros(n, dtype=np.intp),
+                np.arange(k + 1) > 0,
+                np.arange(n, dtype=np.int16)[None],
+                np.arange(k + 1, dtype=np.int16)[None],
+            )
+        group = self._parent._group
         self._parent = None
-        return table, rows[table[rows, self._qi] == self._qi]
+        return group if group.bare else _fix(group, space.codes[self._qi], space.size)
 
     @functools.cached_property
-    def _spread(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Lowest code of each orbit, ascending, and for each code the
-        position of its orbit among them; None if the group is trivial."""
-        table, rows = self._generators
-        if not len(rows):
+    def labels(self) -> Optional[np.ndarray]:
+        """Lowest code of each code's orbit, shape (size,); None if the
+        group is trivial.
+
+        Sorting a code within each class gives the lowest code of its
+        orbit under the class permutations. The other generators map those
+        orbits onto each other, so orbit_labels joins them through their
+        lowest codes."""
+        group = self._group
+        if group.bare:
             return None
-        labels = orbit_labels(table if len(rows) == len(table) else table[rows])
-        reps = np.flatnonzero(labels == np.arange(len(labels)))
-        return reps, np.searchsorted(reps, labels)
+        space = self._space
+        n, width = space.config.n, len(group.free)
+        cols = np.flatnonzero(np.bincount(group.classes)[group.classes] > 1)
+        cols = cols[np.argsort(group.classes[cols], kind="stable")]
+        dtype = np.int32 if space.size * n * width < 2**31 else np.int64
+        base = (group.classes[cols] * width).astype(dtype)
+
+        def lowest(codes: np.ndarray) -> np.ndarray:
+            if len(cols):  # one sort of (code, class, color) keys
+                keys = np.arange(len(codes), dtype=dtype)[:, None] * (n * width) + base
+                keys += codes[:, cols]
+                codes = codes.copy()
+                codes[:, cols] = (np.sort(keys, axis=None) % width).reshape(len(codes), -1)
+            return space.rank(codes)
+
+        every = np.arange(space.size)
+        low = lowest(space.codes) if len(cols) else every
+        reps = np.flatnonzero(low == every)
+        where = np.empty(space.size, dtype=np.int32)
+        where[reps] = np.arange(len(reps))
+        moves = []
+        free = np.flatnonzero(group.free)
+        for a, b in zip(free, free[1:]):
+            tau = np.arange(width, dtype=np.int16)
+            tau[[a, b]] = b, a
+            moves.append((np.arange(n), tau))
+        pairs = len(group.tau)
+        for p in range(1, pairs, max(1, (pairs - 1) // LABEL_PAIRS))[:LABEL_PAIRS]:
+            moves.append((group.sigma[p], group.tau[p]))
+        codes = space.codes[reps]
+        gens = np.empty((len(moves), len(reps)), dtype=np.int32)
+        for row, (sigma, tau) in zip(gens, moves):
+            row[:] = where[lowest(tau[codes[:, sigma]])]
+        labels = reps[orbit_labels(gens)][where[low]]
+        return None if np.array_equal(labels, every) else labels
 
     @property
     def trivial(self) -> bool:
-        return self._spread is None
+        return self.labels is None
+
+    @functools.cached_property
+    def _spread(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest code of each orbit, ascending, and for each code the
+        position of its orbit among them."""
+        reps = np.flatnonzero(self.labels == np.arange(len(self.labels)))
+        return reps, np.searchsorted(reps, self.labels)
 
     @property
     def reps(self) -> np.ndarray:
@@ -450,110 +551,12 @@ class CodeSpace:
         sum passes the index.
         """
         dtype = np.int32 if self.size < 2**31 else np.int64
-        digits = codes.astype(dtype) - 1
+        digits = np.subtract(codes, 1, dtype=dtype)
         if self.config.repeats is Repeats.FORBIDDEN:
             for i in range(self.config.n - 1, 0, -1):
                 below = digits[:, :i] < digits[:, i : i + 1]
                 digits[:, i] -= below.sum(axis=1, dtype=dtype)
         return digits @ np.array(self._rank_weights, dtype=dtype)
-
-    def stabiliser(self, qi: int) -> np.ndarray:
-        """Symmetries of the space that fix the code at index qi, as index
-        permutations: row g maps code x to code g[x]; shape (|H|, size) int32.
-
-        A symmetry (sigma, tau) sends x to the code whose position i holds
-        tau(x[sigma(i)]); it preserves black and white pegs and the space.
-        The position permutations sigma are enumerated; tau is forced on
-        q's colors (where it must be a function) and, on the f colors q does
-        not use, is the identity or one transposition: 1 + f(f-1)/2 maps, not
-        all f! (12! for n = 1, k = 13). Every row is a symmetry fixing q,
-        which is all that exact_game_value's pruning needs; a chain of such
-        transpositions, each to a lower index, still puts the unused colors
-        of any code in order of first use. stabiliser_bytes counts the rows.
-
-        Rows are computed KEY_CELLS cells at a time from base-k keys
-        sum_i (y[i] - 1) k^(n-1-i): under (sigma, tau), color c at position
-        j of x adds (tau(c) - 1) k^(n-1-i) for i = sigma^-1(j), so an
-        image's key is n lookups in a per-row (n, k+1) table. With repeats
-        the key is the index; without, an array over the k^n keys, fewer
-        entries than the rows hold (k^n <= n! * size), maps keys to indices.
-        """
-        n, k = self.config.n, self.config.k
-        q = self.decode(qi)
-        free = [c for c in range(1, k + 1) if c not in q]
-        swaps = [(), *itertools.combinations(free, 2)]
-        forced_maps = []
-        for sigma in itertools.permutations(range(n)):
-            forced: dict[int, int] = {}
-            if all(forced.setdefault(q[s], c) == c for s, c in zip(sigma, q)):
-                forced_maps.append((sigma, forced))
-        radix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-        def weights() -> Iterator[np.ndarray]:
-            """Per row, the key weight of color c at position j."""
-            for sigma, forced in forced_maps:
-                place = radix[[sigma.index(i) for i in range(n)]][:, None]
-                for swap in swaps:
-                    tau = np.arange(k + 1)
-                    tau[list(forced)] = list(forced.values())
-                    tau[list(swap)] = swap[::-1]
-                    yield (tau - 1) * place
-
-        index = None
-        if self.config.repeats is Repeats.FORBIDDEN:
-            index = np.zeros(k**n, dtype=np.int32)
-            index[(self.codes - 1) @ radix] = np.arange(self.size)
-        columns = [self.codes[:, j] for j in range(n)]
-        out = np.empty((len(forced_maps) * len(swaps), self.size), dtype=np.int32)
-        per_call = max(1, KEY_CELLS // self.size)
-        key_type = np.int32 if k**n < 2**31 else np.int64
-        tables = weights()
-        for lo in range(0, len(out), per_call):
-            table = np.array(list(itertools.islice(tables, per_call)), dtype=key_type)
-            key = table[:, 0, columns[0]]
-            for j in range(1, n):
-                key += table[:, j, columns[j]]
-            out[lo : lo + len(table)] = key if index is None else index[key]
-        return out
-
-    def generators(self, qi: int) -> np.ndarray:
-        """Index permutations that generate the symmetries fixing the code
-        at index qi, as in stabiliser: row g maps code x to code g[x];
-        shape (g, size) int32, g < n + k (generator_bytes). The rows are
-        - swapping two positions that hold the same color of q (sigma a
-          transposition, tau the identity);
-        - swapping two colors a, b that q uses equally often together with
-          their position blocks (tau swaps a and b, sigma the j-th position
-          of a with the j-th position of b);
-        - swapping two colors q does not use (tau alone).
-        Swaps of neighbours in each class suffice. They generate every
-        (sigma, tau) fixing q: tau permutes q's colors within equal counts
-        and the unused colors freely, which the last two kinds undo, and
-        what is left keeps every color of q and its positions, a product of
-        the first kind.
-        """
-        n, k = self.config.n, self.config.k
-        q = self.decode(qi)
-        where = {c: [i for i in range(n) if q[i] == c] for c in sorted(set(q))}
-        by_count: dict[int, list[int]] = {}
-        for c, places in where.items():
-            by_count.setdefault(len(places), []).append(c)
-        free = [c for c in range(1, k + 1) if c not in where]
-        swaps = []  # (position pairs, color pair) swapped by each generator
-        for places in where.values():
-            swaps += [([(i, j)], ()) for i, j in zip(places, places[1:])]
-        for colors in by_count.values():
-            for a, b in zip(colors, colors[1:]):
-                swaps.append((list(zip(where[a], where[b])), (a, b)))
-        swaps += [([], (a, b)) for a, b in zip(free, free[1:])]
-        out = np.empty((len(swaps), self.size), dtype=np.int32)
-        for row, (positions, colors) in zip(out, swaps):
-            sigma, tau = list(range(n)), np.arange(k + 1, dtype=self.codes.dtype)
-            for i, j in positions:
-                sigma[i], sigma[j] = j, i
-            tau[list(colors)] = colors[::-1]
-            row[:] = self.rank(tau[self.codes[:, sigma]])
-        return out
 
     # -- packed feedback ids ------------------------------------------------
 
@@ -565,20 +568,28 @@ class CodeSpace:
         return n + 1
 
     @functools.cached_property
-    def _root_summary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """From the feedback rows of root_queries, which are not kept: the
-        ids that occur between two codes (ascending int16, the dtype of
-        the rows the kernel compares them with), the indices of the root
-        queries (ascending) and their minimax scores over the space.
+    def symmetries(self) -> Symmetries:
+        """Every symmetry of the space, those of no query played. The lowest
+        code of each orbit has one color-count pattern: 1111, 1112, 1122,
+        1123 and 1234 on (4,6), as in Knuth's "The computer as Master
+        Mind" (1977)."""
+        return Symmetries(self)
 
-        Every code is g(r) for a symmetry g (see stabiliser) and a root
-        query r, and feedback(g(r), x) = feedback(r, g^-1(x)), so the rows
-        of root_queries hold every id that occurs."""
-        roots = np.array([self.encode(q) for q in root_queries(self.config)])
-        rows = self.feedback_rows(roots)
+    @functools.cached_property
+    def _root_summary(self) -> tuple[np.ndarray, np.ndarray]:
+        """From the feedback rows of the lowest code of each orbit of every
+        symmetry, which are not kept: the ids that occur between two codes
+        (ascending int16, the dtype of the rows the kernel compares them
+        with) and the minimax scores of those codes over the space.
+
+        Every code is g(r) for a symmetry g and such a code r, and
+        feedback(g(r), x) = feedback(r, g^-1(x)), so their rows hold every
+        id that occurs."""
+        whole = self.symmetries
+        rows = self.feedback_rows([0] if whole.trivial else whole.reps)
         counts = [np.bincount(row, minlength=self.n_fids) for row in rows]
         ids = np.flatnonzero(np.sum(counts, axis=0)).astype(np.int16)
-        return ids, roots, np.array([c.max() for c in counts])
+        return ids, np.array([c.max() for c in counts])
 
     @property
     def _realised_ids(self) -> np.ndarray:
@@ -590,26 +601,15 @@ class CodeSpace:
         """Number of feedback ids that occur between two codes."""
         return len(self._realised_ids)
 
-    def _patterns(self, codes: np.ndarray) -> np.ndarray:
-        """Color-count pattern of each code: entry m - 1 counts the positions
-        whose color the code uses m times, so it is m times the number of
-        colors used m times; shape (len(codes), n)."""
-        n = self.config.n
-        uses = (codes[:, :, None] == codes[:, None, :]).sum(axis=2)
-        return (uses[:, :, None] == np.arange(1, n + 1)).sum(axis=1)
-
     @functools.cached_property
     def _full_scores(self) -> np.ndarray:
         """minimax_scores of the whole space, read-only. A symmetry g maps
         the space onto itself and keeps feedback, so g(q) and q have the
-        same largest bucket: the scores are constant on orbits, one per
-        color-count pattern, and one row per root query gives them all."""
-        _, roots, root_scores = self._root_summary
-        scores = np.full(self.size, root_scores[0])
-        if len(roots) > 1:
-            patterns = self._patterns(self.codes)
-            for pattern, score in zip(self._patterns(self.codes[roots]), root_scores):
-                scores[(patterns == pattern).sum(axis=1) == self.config.n] = score
+        same largest bucket: the scores are constant on orbits, and one row
+        per orbit gives them all."""
+        root_scores = self._root_summary[1]
+        whole = self.symmetries
+        scores = root_scores if whole.trivial else whole.spread(root_scores)
         scores.flags.writeable = False
         return scores
 
@@ -709,18 +709,11 @@ class CodeSpace:
             for lo, hi in zip([0, *cuts], [*cuts, len(fids)])
         ]
 
-    def split(self, qi: int, indices: np.ndarray) -> list[tuple[Feedback, np.ndarray]]:
-        """Non-empty response buckets of query index qi over the codes at
-        indices, as (response, member indices) pairs in ascending packed-id
-        order; each bucket keeps the order of indices."""
-        column = self.query_column(qi, indices)
-        return [(fb, indices[at]) for fb, at in self.buckets(column)]
-
     def minimax_scores(
         self,
         indices: np.ndarray,
         rows: Optional[Rows] = None,
-        orbits: Optional[Orbits] = None,
+        symmetries: Optional[Symmetries] = None,
     ) -> np.ndarray:
         """Largest response bucket over the distinct codes at indices, for
         every query (by index); shape (size,) int64. rows, if given, view
@@ -728,8 +721,7 @@ class CodeSpace:
         from one row per orbit (_full_scores, read-only), never from size
         rows.
 
-        orbits, if given, belong to a group of symmetries that maps the set
-        S of indices onto itself. A symmetry g keeps feedback, so g(q)
+        symmetries, if given, map the set S of indices onto itself. A symmetry g keeps feedback, so g(q)
         splits S = g(S) into the images of q's buckets, and g(q) and q have
         the same score: scores are constant on orbits. Then only the lowest
         query of each orbit is scored, from the columns of rows at those
@@ -738,15 +730,15 @@ class CodeSpace:
         """
         if len(indices) == self.size:
             return self._full_scores
-        symmetric = orbits is not None and not orbits.trivial
-        cols = orbits.reps if symmetric else None
+        symmetric = symmetries is not None and not symmetries.trivial
+        cols = symmetries.reps if symmetric else None
         if rows is None:
             block, at = self.feedback_rows(indices, cols), None
             cols = None  # the block holds only those columns
         else:
             block, at = _gathered(rows)
         scores = _kernels.column_max_buckets(block, at, self._realised_ids, cols)
-        return orbits.spread(scores) if symmetric else scores
+        return symmetries.spread(scores) if symmetric else scores
 
     def member_scores(self, indices: np.ndarray, rows: Rows) -> np.ndarray:
         """Largest response bucket over the codes at indices of each of

@@ -6,7 +6,6 @@ does not need to be queried, so query counts measure determination.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -19,7 +18,6 @@ from .codespace import (
     MemoMeter,
     VariantConfig,
     feedback,
-    root_queries,
     validate_code,
 )
 from .combinatorics import ceil_log
@@ -268,20 +266,18 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     S) or whose largest bucket needs more than d - 1 queries by the floor
     ceil_log(b, score): scores only ascend, so no later query passes.
 
-    Symmetry pruning. A symmetry g (CodeSpace.stabiliser: a position
-    permutation with a color relabeling) preserves feedback, so it maps a
-    strategy for S to one for g(S). Each node carries a set H of symmetries
-    that fix every query played on the way to it; they fix every response
-    bucket along the way too, so g(S) = S for each g in H. If query q passes
-    at S then so does g(q): g maps q's buckets onto g(q)'s and each bucket
-    onto a bucket with the same within. Hence the loop skips every query q
-    that some g in H maps to a lower index: if any query passes, the lowest
-    passing one is not skipped, and it comes before the stop above because
-    g(q) and q have equal scores. H need not be a group for this. The root
-    is fixed by every symmetry, so there only root_queries, one per orbit,
-    are tried; a root query's child gets its stabiliser, and every deeper
-    child the rows of H that fix the query played (kept as row numbers into
-    the root query's stabiliser, so no node copies it).
+    Symmetry pruning. A symmetry g (a position permutation with a color
+    relabeling) preserves feedback, so it maps a strategy for S to one for
+    g(S). Each set S carries a group H of the symmetries that fix every
+    query played on the way to it (SolutionSet.symmetries); they fix every
+    response bucket along the way too, so g(S) = S for each g in H. If
+    query q passes at S then so does g(q): g maps q's buckets onto g(q)'s
+    and each bucket onto a bucket with the same within. Hence the loop
+    tries q only if it is the lowest code of its orbit under H
+    (Symmetries.labels): the lowest code of a passing query's orbit passes
+    too, and it comes before the stop above because g(q) and q have equal
+    scores. At the root H holds every symmetry, so only one query per
+    color-count pattern is tried.
 
     One memo, failed[S] = the largest d at which S is known to fail. A
     strategy within d - 1 queries is also within d, so failure at d implies
@@ -293,19 +289,11 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     cap = default_turn_budget(space.config) if depth_cap is None else depth_cap
     if cap < 0:
         raise DomainError(f"depth cap must be >= 0, got {cap}")
-    roots = {space.encode(q) for q in root_queries(space.config)}
     base = max(2, space.n_realised_fids)
     failed: dict[bytes, int] = {}
     memo = MemoMeter()
 
-    @functools.cache
-    def root_group(qi: int) -> tuple[np.ndarray, np.ndarray]:
-        table = space.stabiliser(qi)
-        return table, np.arange(len(table))
-
-    def within(s: SolutionSet, depth: int, group: Optional[tuple]) -> bool:
-        """group: (stabiliser of the root query played, its rows that fix
-        every later query played); None at the root."""
+    def within(s: SolutionSet, depth: int) -> bool:
         size = len(s)
         if size == 1:
             return True
@@ -313,29 +301,23 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
         if failed.get(key, -1) >= depth:
             return False
         scores = s.minimax_scores()
+        labels = s.symmetries.labels
         seen_partitions: set[tuple[bytes, ...]] = set()
         for qi in np.argsort(scores, kind="stable").tolist():
             score = int(scores[qi])
             if score == size or ceil_log(base, score) > depth - 1:
                 break
-            if group is None:
-                if qi not in roots:
-                    continue
-            else:
-                table, rows = group
-                images = table[rows, qi]
-                if images.min() < qi:
-                    continue  # a symmetry of S maps qi to a lower query
+            if labels is not None and labels[qi] != qi:
+                continue  # a symmetry of S maps qi to a lower query
             buckets = [child for _, child in s.split(qi)]
             # one entry per bucket keeps the boundaries: [1,2],[3] != [1],[2,3]
             sig = tuple(bucket.indices.tobytes() for bucket in buckets)
             if sig in seen_partitions:
                 continue  # identical partition already tried
             seen_partitions.add(sig)
-            child = root_group(qi) if group is None else (table, rows[images == qi])
             # biggest bucket first fails fastest
             if all(
-                within(b, depth - 1, child)
+                within(b, depth - 1)
                 for b in sorted(buckets, key=len, reverse=True)
             ):
                 return True
@@ -347,7 +329,7 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     root = SolutionSet.full(space, walk=True)
     depth = ceil_log(base, space.size)
     while depth <= cap:
-        if within(root, depth, None):
+        if within(root, depth):
             return ExactGameValue(depth, False)
         depth += 1
     return ExactGameValue(cap, True)

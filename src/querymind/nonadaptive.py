@@ -51,20 +51,27 @@ class QuerySet:
         if comment:
             lines.append(f"# {comment}")
         lines.extend(format_code(q) for q in self.queries)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write query file {path!r}: {exc.strerror or exc}") from None
 
     @classmethod
     def from_file(cls, path: str, config: VariantConfig) -> "QuerySet":
         queries = []
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 for line in fh:
                     line = line.split("#", 1)[0].strip()
                     if line:
                         queries.append(parse_code(line))
         except OSError as exc:
             raise DomainError(f"cannot read query file {path!r}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(
+                f"cannot read query file {path!r}: not UTF-8 at byte {exc.start}"
+            ) from None
         return cls(config=config, queries=tuple(queries))
 
 

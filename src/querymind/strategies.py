@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codespace import Code, CodeSpace, Feedback, Orbits, Rows, encode01
+from .codespace import Code, CodeSpace, Feedback, Rows, Symmetries, encode01
 from .errors import ContradictionError, DomainError, ProtocolError
 
 Turn = tuple[Code, Feedback]
@@ -40,11 +40,12 @@ class SolutionSet:
     played (CodeSpace.query_column), as is every set of a strategy that
     never scores.
 
-    Symmetries. Every set split from the whole space carries the Orbits of
-    a group of symmetries that maps it onto itself (codespace.Orbits,
-    computed only if the set is scored). A set with a non-trivial group is
-    scored once per orbit (CodeSpace.minimax_scores): from the columns of
-    its view, or without one from its ids against one query per orbit.
+    Symmetries. The whole space and every set split from it carry the
+    symmetries that fix every query played (codespace.Symmetries, computed
+    only if the set is scored), which map the set onto itself. A set whose
+    group is not trivial is scored once per orbit
+    (CodeSpace.minimax_scores): from the columns of its view, or without
+    one from its ids against one query per orbit.
 
     Walks. In a walk that scores every child (walk: a sweep or the exact
     solver) a scored set without a view computes its block whatever its
@@ -55,26 +56,26 @@ class SolutionSet:
     from one query per orbit instead.
     """
 
-    __slots__ = ("space", "indices", "view", "_orbits", "_walk")
+    __slots__ = ("space", "indices", "view", "symmetries", "_walk")
 
     def __init__(
         self,
         space: CodeSpace,
         indices: np.ndarray,
         view: Optional[Rows] = None,
-        orbits: Optional[Orbits] = None,
+        symmetries: Optional[Symmetries] = None,
         walk: bool = False,
     ) -> None:
         self.space = space
         self.indices = np.asarray(indices, dtype=np.int64)
         self.view = view  # (block of rows, positions of this set's codes)
-        self._orbits = orbits
+        self.symmetries = symmetries
         self._walk = walk
 
     @classmethod
     def full(cls, space: CodeSpace, walk: bool = False) -> "SolutionSet":
         """The whole space; walk: every set split below it is scored."""
-        return cls(space, np.arange(space.size, dtype=np.int64), walk=walk)
+        return cls(space, np.arange(space.size, dtype=np.int64), None, space.symmetries, walk)
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -88,15 +89,16 @@ class SolutionSet:
         return self.space.decode(int(self.indices[0]))
 
     def minimax_scores(self) -> np.ndarray:
-        """CodeSpace.minimax_scores of this set, from its view and orbits;
-        a set below the whole space without a view first computes its
-        block, in a walk or if its group is trivial."""
-        space, orbits = self.space, self._orbits
+        """CodeSpace.minimax_scores of this set, from its view and
+        symmetries; a set below the whole space without a view first
+        computes its block, in a walk or if its group is trivial."""
+        space, group = self.space, self.symmetries
         if len(self) == space.size:
             return space.minimax_scores(self.indices)
-        if self.view is None and (self._walk or orbits is None or orbits.trivial):
+        trivial = group is None or group.trivial  # labels first, out of the block's peak
+        if self.view is None and (self._walk or trivial):
             self.view = (space.feedback_rows(self.indices), np.arange(len(self)))
-        return space.minimax_scores(self.indices, self.view, orbits)
+        return space.minimax_scores(self.indices, self.view, group)
 
     def member_scores(self) -> Optional[np.ndarray]:
         """CodeSpace.member_scores of this set from its view, or None if it
@@ -114,14 +116,11 @@ class SolutionSet:
         else:
             block, at = self.view
             column = block[at, qi]
-        if len(self) == space.size:
-            orbits: Optional[Orbits] = Orbits(space, qi)
-        else:
-            orbits = None if self._orbits is None else self._orbits.fixing(qi)
+        group = None if self.symmetries is None else self.symmetries.fixing(qi)
         children = []
         for fb, pos in space.buckets(column):
             view = None if self.view is None or len(pos) < 2 else (block, at[pos])
-            children.append((fb, SolutionSet(space, self.indices[pos], view, orbits, self._walk)))
+            children.append((fb, SolutionSet(space, self.indices[pos], view, group, self._walk)))
         return children
 
 

@@ -13,8 +13,7 @@ from querymind.codespace import (
     Mode,
     Repeats,
     VariantConfig,
-    generator_bytes,
-    stabiliser_bytes,
+    symmetry_bytes,
 )
 from querymind.errors import DomainError
 from querymind.nonadaptive import entropy_audit
@@ -193,12 +192,12 @@ class TestExitCodes:
     def test_exact_value_budget_checked_before_counting_stabilisers(
         self, tmp_path, capsys, monkeypatch
     ):
-        # 100**100 codes: counting their root stabilisers would list the
-        # 190 M partitions of 100; the space budget refuses them first
+        # 100**100 codes: the space budget refuses them before the memory
+        # check counts their symmetries
         def refuse(*args, **kwargs):
-            raise AssertionError("counted the stabilisers of an over-budget space")
+            raise AssertionError("counted the symmetries of an over-budget space")
 
-        monkeypatch.setattr("querymind.cli.stabiliser_bytes", refuse)
+        monkeypatch.setattr("querymind.cli.symmetry_bytes", refuse)
         monkeypatch.setattr(CodeSpace, "enumerate", refuse)
         code = run(["exact-value", "--n", "100", "--k", "100", "--out", str(tmp_path)])
         assert code == 2
@@ -256,15 +255,35 @@ class TestExitCodes:
         assert code == 2
         assert "capacity error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
     def test_unreadable_queries_file_is_validation(self, kind, tmp_path, capsys):
         path = tmp_path / "absent.queries" if kind == "missing" else tmp_path
+        if kind == "latin-1":
+            path = tmp_path / "latin.queries"
+            path.write_bytes("# n=2 k=2 caf\u00e9\n1,2\n".encode("latin-1"))
         argv = ["nonadaptive-search", "--n", "2", "--k", "2", "--queries-file", str(path)]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error: cannot read query file")
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "nonadaptive_check.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["bounds", "--n", "3", "--k", "3"], "bounds.json"),
+            (["worst-case", "--n", "2", "--k", "2"], "worst_case.csv"),
+            (["nonadaptive-search", "--n", "2", "--k", "2"], "nonadaptive_search.queries"),
+        ],
+        ids=["json", "csv", "queries"],
+    )
+    def test_unwritable_artifact_is_validation(self, argv, blocked, tmp_path, capsys):
+        # a directory where the artifact goes cannot be written as a file
+        (tmp_path / blocked).mkdir()
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: cannot write")
+        assert blocked in err and err.count("\n") == 1
 
     def test_uncreatable_out_dir_is_validation(self, tmp_path, capsys):
         # a regular file cannot hold a directory
@@ -411,12 +430,12 @@ class TestWorstCase:
     ):
         # a sweep holds the rows of one bucket of the whole space at a
         # time, within one table even on (1,40) where that bucket is all
-        # but one code, and the generators of one code; one byte short of
-        # that is refused before enumerating (the name is from when a
-        # sweep copied the set it split and worst-case checked two tables)
+        # but one code, and the list of symmetries of one group; one byte
+        # short of that is refused before enumerating (the name is from when
+        # a sweep copied the set it split and worst-case checked two tables)
         config = VariantConfig(n, k)
         size = config.space_size
-        need = _kernels.feedback_bytes(size, size, n, k, True) + generator_bytes(config)
+        need = _kernels.feedback_bytes(size, size, n, k, True) + symmetry_bytes(config)
         pages = {"SC_PHYS_PAGES": need + spare, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr("querymind.codespace.os.sysconf", pages.__getitem__)
         argv = ["worst-case", "--n", str(n), "--k", str(k), "--strategy", "minimax"]
@@ -449,11 +468,11 @@ class TestExactValue:
 
     @pytest.mark.parametrize("spare, code", [(-1, 2), (0, 1)], ids=["short", "fits"])
     def test_stabilisers_count_in_memory_check(self, spare, code, tmp_path, capsys, monkeypatch):
-        # perm-7: the identity's 5040 symmetries take 97 MiB beside the table;
-        # one byte short of both is refused before enumerating
+        # perm-7: a list of at most 5040 pairs of 7 + 7 + 1 int16 beside the
+        # table; one byte short of both is refused before enumerating
         config = VariantConfig(7, 7, feedback=FeedbackMode.BLACK_ONLY, repeats=Repeats.FORBIDDEN)
-        need = _kernels.feedback_bytes(5040, 5040, 7, 7, False) + stabiliser_bytes(config)
-        assert stabiliser_bytes(config) == 4 * 5040 * 5040
+        need = _kernels.feedback_bytes(5040, 5040, 7, 7, False) + symmetry_bytes(config)
+        assert symmetry_bytes(config) == 2 * 15 * 5040
         pages = {"SC_PHYS_PAGES": need + spare, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr("querymind.codespace.os.sysconf", pages.__getitem__)
 

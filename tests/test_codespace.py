@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -21,13 +22,13 @@ from querymind.codespace import (
     encode01,
     feedback,
     format_code,
-    generator_bytes,
+    Symmetries,
     orbit_labels,
     parse_code,
-    root_queries,
-    stabiliser_bytes,
+    symmetry_bytes,
 )
 from querymind.errors import CapacityError, DomainError, InvalidCodeError
+from querymind.strategies import SolutionSet
 
 from conftest import black, perm_config, white_bruteforce
 
@@ -143,81 +144,151 @@ def _symmetry_configs():
                 yield config
 
 
+def _small_configs():
+    """Every space of at most 64 codes and at most 6 colors."""
+    for n, k in itertools.product(range(1, 7), range(2, 7)):
+        for repeats in Repeats:
+            if repeats is Repeats.ALLOWED or k >= n:
+                config = bw_config(n, k, repeats)
+                if config.space_size <= 64:
+                    yield config
+
+
 def _sample_codes(space):
-    """Indices of the root queries and of the first, middle and last code."""
-    roots = {space.encode(q) for q in root_queries(space.config)}
+    """Indices of the lowest code of each orbit of every symmetry (one per
+    color-count pattern) and of the first, middle and last code."""
+    labels = _labels(Symmetries(space), space.size)
+    roots = set(np.flatnonzero(labels == np.arange(space.size)).tolist())
     return sorted(roots | {0, space.size // 2, space.size - 1})
+
+
+def _group_table(config):
+    """Every symmetry (sigma, tau) in S_n x S_k as an index permutation of
+    the space, by brute force: row g maps code x to g[x]."""
+    space = CodeSpace.enumerate(config)
+    taus = np.array([(0, *p) for p in itertools.permutations(range(1, config.k + 1))])
+    rows = []
+    for sigma in itertools.permutations(range(config.n)):
+        images = taus[:, space.codes[:, list(sigma)]].reshape(-1, config.n)
+        rows.append(space.rank(images).reshape(len(taus), space.size).astype(np.int16))
+    return np.concatenate(rows)
+
+
+def _stabiliser_orbits(table, queries):
+    """Lowest code of each orbit of the symmetries in table that fix every
+    query: they form a group, so the orbit of x is {g[x]}."""
+    return table[(table[:, queries] == queries).all(axis=1)].min(axis=0)
+
+
+def _pair_images(space, group):
+    """The listed pairs of a Symmetries as index permutations, computed by
+    their definition: position i of the image of x holds tau(x[sigma(i)])."""
+    pairs = zip(group._group.sigma.tolist(), group._group.tau.tolist())
+    return np.array(
+        [[space.encode(tuple(tau[x[s]] for s in sigma)) for x in space] for sigma, tau in pairs]
+    )
+
+
+def _labels(group, size):
+    labels = group.labels
+    return np.arange(size) if labels is None else labels
 
 
 class TestSymmetry:
     def test_knuth_root_queries(self):
-        assert root_queries(bw_config(4, 6)) == [
+        def roots(config):
+            space = CodeSpace.enumerate(config)
+            return [space.decode(r) for r in Symmetries(space).reps]
+
+        assert roots(bw_config(4, 6)) == [
             (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 1, 2, 3), (1, 2, 3, 4)
         ]
-        assert root_queries(perm_config(5)) == [(1, 2, 3, 4, 5)]
-        assert root_queries(bw_config(3, 2)) == [(1, 1, 1), (1, 1, 2)]
+        assert roots(perm_config(5)) == [(1, 2, 3, 4, 5)]
+        assert roots(bw_config(3, 2)) == [(1, 1, 1), (1, 1, 2)]
 
     @pytest.mark.parametrize(
         "config", list(_symmetry_configs()), ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}"
     )
     def test_stabilisers_of_root_queries(self, config):
-        # one root query per color-count pattern; every stabiliser row is a
-        # bijection of the space that fixes the query and keeps black and
-        # white pegs; stabiliser_bytes counts them before enumeration
+        # the orbits of every symmetry are the color-count patterns, and
+        # the root queries the lowest code of each; every listed pair of the
+        # symmetries fixing a root query is a bijection of the space that
+        # fixes it and keeps black and white pegs; symmetry_bytes bounds
+        # the list
         space = CodeSpace.enumerate(config)
-        patterns = {tuple(sorted(map(c.count, set(c)))) for c in space}
-        roots = root_queries(config)
-        assert len(roots) == len(patterns)
+        patterns = [tuple(sorted(map(c.count, set(c)))) for c in space]
+        roots = sorted(patterns.index(p) for p in set(patterns))
+        whole = Symmetries(space)
+        labels = _labels(whole, space.size)
+        assert labels.tolist() == [patterns.index(p) for p in patterns]
         table = space.feedback_rows(np.arange(space.size))
-        total = 0
-        for q in roots:
-            qi = space.encode(q)
-            group = space.stabiliser(qi)
-            total += group.nbytes
-            assert group.dtype == np.int32 and (group[:, qi] == qi).all()
-            assert (np.sort(group, axis=1) == np.arange(space.size)).all()
-            for g in group:
+        for qi in roots:
+            group = whole.fixing(qi)
+            assert group._group.sigma.nbytes + group._group.tau.nbytes <= symmetry_bytes(config)
+            for g in _pair_images(space, group):
+                assert g[qi] == qi and sorted(g) == list(range(space.size))
                 assert np.array_equal(table[np.ix_(g, g)], table)
-        assert total == stabiliser_bytes(config)
 
     @pytest.mark.parametrize(
         "config", list(_symmetry_configs()), ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}"
     )
     def test_generators_are_symmetries_fixing_the_query(self, config):
-        # every code's generators are bijections that fix it and keep black
-        # and white pegs; codes share most generators, so each distinct one
-        # is checked against the table once
+        # after one query and after two, every listed pair is a bijection
+        # that fixes each query played and keeps black and white pegs; each
+        # distinct pair is checked against the table once
         space = CodeSpace.enumerate(config)
         table = space.feedback_rows(np.arange(space.size))
+        sample = _sample_codes(space)
         distinct = set()
-        for qi in range(space.size):
-            gens = space.generators(qi)
-            assert gens.dtype == np.int32 and len(gens) < config.n + config.k
-            assert gens.nbytes < generator_bytes(config)
-            assert (np.sort(gens, axis=1) == np.arange(space.size)).all()
-            assert (gens[:, qi] == qi).all()
-            distinct.update(g.tobytes() for g in gens)
-        for key in distinct:
-            g = np.frombuffer(key, dtype=np.int32)
+        for qi in sample:
+            first = Symmetries(space).fixing(qi)
+            for qj in sample:
+                for g in _pair_images(space, first.fixing(qj)):
+                    assert g[qi] == qi and g[qj] == qj
+                    assert sorted(g) == list(range(space.size))
+                    distinct.add(tuple(g))
+        for g in map(list, distinct):
             assert np.array_equal(table[np.ix_(g, g)], table)
 
     @pytest.mark.parametrize(
         "config", list(_symmetry_configs()), ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}"
     )
-    def test_generator_orbits_are_the_stabiliser_orbits(self, config):
-        # the stabiliser's rows generate the whole group fixing q, so the
-        # lowest code reached from each code through them labels its orbit
+    def test_generator_orbits_are_the_stabiliser_orbits(self, config, monkeypatch):
+        # labels built from every listed pair, with the class permutations
+        # and the free colors, are the orbits of the whole pointwise
+        # stabiliser, found by brute force over S_n x S_k
+        monkeypatch.setattr(codespace, "LABEL_PAIRS", config.space_size)
         space = CodeSpace.enumerate(config)
-        for qi in _sample_codes(space):
-            group = space.stabiliser(qi)
-            want = np.arange(space.size)
-            while True:
-                lower = np.minimum(want, want[group].min(axis=0))
-                if np.array_equal(lower, want):
-                    break
-                want = lower
-            labels = orbit_labels(space.generators(qi))
-            assert labels.tolist() == want.tolist()
+        table = _group_table(config)
+        sample = _sample_codes(space)
+        for qi in sample:
+            first = Symmetries(space).fixing(qi)
+            want = _stabiliser_orbits(table, [qi])
+            assert _labels(first, space.size).tolist() == want.tolist()
+            for qj in sample:
+                want = _stabiliser_orbits(table, [qi, qj])
+                assert _labels(first.fixing(qj), space.size).tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "config", list(_small_configs()), ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}"
+    )
+    def test_small_spaces_label_every_stabiliser_orbit(self, config, monkeypatch):
+        # every sequence of one or two queries; the group never reads the
+        # feedback mode, so the black-only space gives the same groups
+        monkeypatch.setattr(codespace, "LABEL_PAIRS", config.space_size)
+        space = CodeSpace.enumerate(config)
+        black = CodeSpace.enumerate(dataclasses.replace(config, feedback=FeedbackMode.BLACK_ONLY))
+        table = _group_table(config)
+        for qi in range(space.size):
+            first = Symmetries(space).fixing(qi)
+            fixing = table[table[:, qi] == qi]
+            assert _labels(first, space.size).tolist() == fixing.min(axis=0).tolist()
+            assert _labels(Symmetries(black).fixing(qi), space.size).tolist() == (
+                fixing.min(axis=0).tolist()
+            )
+            for qj in range(space.size):
+                want = fixing[fixing[:, qj] == qj].min(axis=0)
+                assert _labels(first.fixing(qj), space.size).tolist() == want.tolist()
 
     @pytest.mark.parametrize("shift", [1, -1])
     def test_orbit_labels_of_one_long_cycle(self, shift):
@@ -226,11 +297,25 @@ class TestSymmetry:
         assert (orbit_labels(cycle) == 0).all()
         assert orbit_labels(np.empty((0, 3), dtype=np.int32)).tolist() == [0, 1, 2]
 
-    def test_unused_colors_get_identity_and_transpositions(self):
-        # (1, 13): 1 + 12*11/2 maps of the 12 unused colors, not 12!
+    def test_unused_colors_are_free(self):
+        # (1, 13): the 12 colors that 1 does not use are permuted freely,
+        # with no listed map of them (12! of them): one pair, two orbits
         space = CodeSpace.enumerate(VariantConfig(1, 13))
-        assert space.stabiliser(0).shape == (67, 13)
-        assert stabiliser_bytes(VariantConfig(1, 13)) == 4 * 67 * 13
+        group = Symmetries(space).fixing(0)
+        assert len(group._group.tau) == 1
+        assert group.labels.tolist() == [0] + [1] * 12
+        assert group.reps.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("feedback", list(FeedbackMode), ids=lambda f: f.value)
+    def test_one_color_query_lists_one_pair(self, feedback):
+        # q = 1^12 on (12,2): the 12! position permutations are one class,
+        # so the list holds one pair; 13 orbits, one per count of color 2
+        space = CodeSpace.enumerate(VariantConfig(12, 2, feedback=feedback))
+        group = Symmetries(space).fixing(0)
+        assert len(group._group.tau) == 1
+        twos = (space.codes == 2).sum(axis=1)
+        assert group.reps.tolist() == [int(np.flatnonzero(twos == t)[0]) for t in range(13)]
+        assert np.array_equal(twos[group.labels], twos)
 
 
 def _score_configs():
@@ -241,25 +326,6 @@ def _score_configs():
                     yield VariantConfig(n, k, feedback=mode, repeats=repeats)
 
 
-def _stabiliser_by_rank(space, qi):
-    """The stabiliser's rows by their definition: rank tau(x[sigma]) per
-    symmetry, in the order CodeSpace.stabiliser lists them."""
-    n, k = space.config.n, space.config.k
-    q = space.decode(qi)
-    free = [c for c in range(1, k + 1) if c not in q]
-    rows = []
-    for sigma in itertools.permutations(range(n)):
-        forced = {}
-        if not all(forced.setdefault(q[s], c) == c for s, c in zip(sigma, q)):
-            continue
-        for swap in [(), *itertools.combinations(free, 2)]:
-            tau = np.arange(k + 1)
-            tau[list(forced)] = list(forced.values())
-            tau[list(swap)] = swap[::-1]
-            rows.append(space.rank(tau[space.codes[:, sigma]]))
-    return np.array(rows, dtype=np.int32)
-
-
 class TestFeedbackRows:
     @pytest.mark.parametrize(
         "config",
@@ -267,7 +333,7 @@ class TestFeedbackRows:
         ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}-{c.feedback.value}",
     )
     def test_full_space_scores_are_column_maxima(self, config):
-        # the whole space is scored from one row per orbit (root_queries);
+        # the whole space is scored from one row per orbit of every symmetry;
         # brute force counts every column of the scalar feedback table
         space = CodeSpace.enumerate(config)
         codes = list(space)
@@ -302,9 +368,31 @@ class TestFeedbackRows:
         ids=["3-3", "3-3-norep", "perm5", "1-6", "2-4"],
     )
     def test_stabiliser_rows_equal_rank_of_each_symmetry(self, config):
+        # after one query or two, the list holds one pair per color map of
+        # the used colors that some position permutation makes fix every
+        # query, found by brute force over S_n; each pair fixes every query,
+        # and ranking its images gives the symmetry by its definition
         space = CodeSpace.enumerate(config)
-        for qi in {0, space.size // 2, space.size - 1}:
-            assert np.array_equal(space.stabiliser(qi), _stabiliser_by_rank(space, qi))
+        picks = [0, space.size // 2, space.size - 1]
+        for played in ([picks[0]], [picks[1]], picks[:2], picks[1:]):
+            group = Symmetries(space)
+            for qi in played:
+                group = group.fixing(qi)
+            queries = [space.decode(qi) for qi in played]
+            used = sorted(set(itertools.chain(*queries)))
+            want = set()
+            for sigma in itertools.permutations(range(config.n)):
+                tau = {}
+                pairs = [(q[s], q[i]) for q in queries for i, s in enumerate(sigma)]
+                if all(tau.setdefault(a, b) == b for a, b in pairs):
+                    if len(set(tau.values())) == len(tau):
+                        want.add(tuple(tau[c] for c in used))
+            sigma, tau = group._group.sigma, group._group.tau
+            assert sorted(tuple(t) for t in tau[:, used].tolist()) == sorted(want)
+            for s, t in zip(sigma, tau):
+                assert all((t[np.array(q)[s]] == q).all() for q in queries)
+            ranked = [space.rank(t[space.codes[:, s]]) for s, t in zip(sigma, tau)]
+            assert np.array_equal(ranked, _pair_images(space, group))
 
 
 class TestEncode01:
@@ -348,7 +436,7 @@ class TestSplit:
         indices = np.arange(0, space.size, 2, dtype=np.int64)
         for qi in range(space.size):
             q = space.decode(qi)
-            buckets = space.split(qi, indices)
+            buckets = [(r, child.indices) for r, child in SolutionSet(space, indices).split(qi)]
             fids = [space.fid_of(r) for r, _ in buckets]
             assert fids == sorted(set(fids))
             for r, bucket in buckets:
@@ -359,14 +447,13 @@ class TestSplit:
 
     def test_empty_indices_give_no_buckets(self):
         space = CodeSpace.enumerate(perm_config(3))
-        assert space.split(0, np.arange(0, dtype=np.int64)) == []
+        assert SolutionSet(space, np.arange(0, dtype=np.int64)).split(0) == []
 
     def test_minimax_scores_are_largest_buckets(self):
         space = CodeSpace.enumerate(bw_config(3, 3))
         indices = np.arange(1, space.size, 3, dtype=np.int64)
-        expected = [
-            max(len(b) for _, b in space.split(qi, indices)) for qi in range(space.size)
-        ]
+        s = SolutionSet(space, indices)
+        expected = [max(len(b) for _, b in s.split(qi)) for qi in range(space.size)]
         assert space.minimax_scores(indices).tolist() == expected
 
     def test_minimax_scores_of_empty_indices_are_zero(self):

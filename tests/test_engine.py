@@ -10,6 +10,7 @@ from querymind.codespace import (
     Feedback,
     FeedbackMode,
     Repeats,
+    Symmetries,
     VariantConfig,
     feedback,
 )
@@ -223,6 +224,21 @@ class RowMeter:
         return block
 
 
+def _sweep_cells(config, monkeypatch):
+    """The minimax sweep of config, and every bucket-counting cell it reads."""
+    cells = []
+    counted = _kernels.column_max_buckets
+
+    def count(table, rows, n_fids, cols=None):
+        n_rows = len(table) if rows is None else len(rows)
+        cells.append(n_rows * (table.shape[1] if cols is None else len(cols)))
+        return counted(table, rows, n_fids, cols)
+
+    monkeypatch.setattr(_kernels, "column_max_buckets", count)
+    result = worst_case_queries(get_strategy("minimax"), CodeSpace.enumerate(config))
+    return result, sum(cells)
+
+
 class TestRowBlocks:
     """Games and sweeps hold feedback rows of solution sets, never the
     size x size table."""
@@ -238,10 +254,13 @@ class TestRowBlocks:
             assert t.solution == perm6.decode(idx)
         assert play_adversarial(get_strategy("minimax"), perm6).outcome == DETERMINED
         # the first bucket, the 265 derangements of 6, is scored from its
-        # ids against one query per conjugacy class; the largest block is
-        # the rows of the 90 codes left after the adversary's second
-        # answer, which has no symmetry left (265 rows before orbit scoring)
-        assert meter.largest == 90
+        # ids against one query per conjugacy class, and the 90 codes left
+        # after the adversary's second answer from theirs against one query
+        # per orbit; the largest block is the rows of the 30 codes left
+        # after the third, which have no symmetry left (90 rows when
+        # generator rows gave the second set no symmetry, 265 before orbit
+        # scoring)
+        assert meter.largest == 30
         # the sets below it view that block and copy nothing: beside it only
         # two rows of single queries stay, which CodeSpace.query_column keeps
         assert meter.most_live <= meter.largest + 2
@@ -251,10 +270,11 @@ class TestRowBlocks:
         meter = RowMeter(monkeypatch, perm6.size)
         if name != "minimax":
             # strategies that never score never compute symmetries either
-            def generators(self, qi):
-                raise AssertionError("computed the generators of a query")
+            def refuse(*args):
+                raise AssertionError("computed symmetries")
 
-            monkeypatch.setattr(CodeSpace, "generators", generators)
+            monkeypatch.setattr(codespace, "_fix", refuse)
+            monkeypatch.setattr(Symmetries, "labels", property(refuse))
         worst_case_queries(get_strategy(name), perm6)
         assert meter.most_live <= perm6.size
         if name != "minimax":
@@ -276,19 +296,18 @@ class TestRowBlocks:
     def test_orbit_scoring_reads_fewer_cells(self, perm6, monkeypatch):
         # every bucket-counting cell the perm-6 sweep reads: 2_079_360 when
         # every set below the root was scored against all 720 queries,
-        # 914_591 with one query per orbit and the member floor
-        cells = []
-        counted = _kernels.column_max_buckets
-
-        def count(table, rows, n_fids, cols=None):
-            n_rows = len(table) if rows is None else len(rows)
-            cells.append(n_rows * (table.shape[1] if cols is None else len(cols)))
-            return counted(table, rows, n_fids, cols)
-
-        monkeypatch.setattr(_kernels, "column_max_buckets", count)
-        result = worst_case_queries(get_strategy("minimax"), CodeSpace.enumerate(perm6.config))
+        # 913_871 with one query per orbit of the groups that generator rows
+        # fixing the later queries generated, 645_615 with the orbits of
+        # (a subgroup of) the whole pointwise stabiliser
+        result, cells = _sweep_cells(perm6.config, monkeypatch)
         assert result.max_queries == 6
-        assert sum(cells) < 2_079_360
+        assert cells <= 645_615
+
+    def test_perm7_sweep_reads_fewer_cells(self, monkeypatch):
+        # 70_705_931 cells with the generator rows' orbits
+        result, cells = _sweep_cells(perm_config(7), monkeypatch)
+        assert result.max_queries == 7
+        assert cells <= 48_193_657
 
     def test_no_allocation_near_the_table(self, perm6):
         # the old table alone took size**2 int16; a minimax game now peaks

@@ -108,7 +108,8 @@ class TestSolutionSetRows:
         assert np.array_equal(_viewed_rows(parent), table[parent.indices])
         for qi in (0, 5, space.size - 1):
             children = parent.split(qi)
-            assert [fb for fb, _ in children] == [fb for fb, _ in space.split(qi, parent.indices)]
+            unviewed = SolutionSet(space, parent.indices).split(qi)
+            assert [fb for fb, _ in children] == [fb for fb, _ in unviewed]
             for _, child in children:
                 # a grandchild of a child that was never scored views too
                 for _, grandchild in child.split(1):
@@ -172,7 +173,7 @@ class TestSolutionSetRows:
             shapes.clear()
             bucket.minimax_scores()
             assert (bucket.view is not None) == walk
-            width = space.size if walk else len(bucket._orbits.reps)
+            width = space.size if walk else len(bucket.symmetries.reps)
             assert shapes == [(len(bucket), width)]
             assert width < space.size or walk
 
@@ -265,7 +266,7 @@ class TestOrbitScores:
 
         class Checked(MinimaxStrategy):
             def next_query(self, history, s):
-                symmetric = s._orbits is not None and not s._orbits.trivial
+                symmetric = s.symmetries is not None and not s.symmetries.trivial
                 held = s.view is not None
                 paths.add((symmetric, held))
                 want = _kernels.column_max_buckets(table, s.indices, range(space.n_fids))
