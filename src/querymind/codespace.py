@@ -26,7 +26,7 @@ Rows = tuple[np.ndarray, np.ndarray]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 LABEL_PAIRS = 8  # listed pairs, evenly spaced, that join the orbits of Symmetries
-PAIR_CELLS = 1 << 12  # cells per chunk of candidate pairs in Symmetries.fixing
+PAIR_CELLS = 1 << 14  # cells per chunk of candidate pairs in Symmetries.fixing
 
 
 class FeedbackMode(enum.Enum):
