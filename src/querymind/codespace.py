@@ -373,8 +373,8 @@ class Symmetries:
     - a list of (sigma, tau) pairs, one per color map on the used colors
       that fixes the queries (the identity first), capped at size pairs
       (symmetry_bytes).
-    Those parts together give every symmetry fixing the queries, but the
-    list alone can hold n! pairs and needs none for q = 1^n.
+    Together they give every symmetry fixing the queries. A list of whole
+    symmetries would need n! of them for q = 1^n; this list holds one.
 
     Orbits are those of the group generated by the class permutations, the
     swaps of neighbouring free colors and LABEL_PAIRS pairs of the list,
