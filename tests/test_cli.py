@@ -685,6 +685,15 @@ PINNED_ARTIFACTS = {
     "exact-value --n 3 --k 4 --feedback b --repeats yes --mode adaptive --turn-budget 13 --space-budget 64": {
         "exact_value.json": "25999ced46089be3b8c8332ff5be5f145f8a9f92ea82c6fa684c0afdde346884",
     },
+    # the exact solver's blocks of rows on perm-6; no turn budget is the default
+    "exact-value --n 6 --k 6 --feedback b --repeats no --mode adaptive --space-budget 720": {
+        "exact_value.json": "ba0fb36c3d2d53009daf6a5f22525a1460503bd19cdf4212662196d7bd99cbbd",
+    },
+    # black+white ids up to 30, the largest of any benchmark command
+    "worst-case --n 5 --k 5 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 26 --space-budget 3125": {
+        "worst_case.csv": "27608ac0e5a9198881135eed363cb1e873c6ab35664cb4cc42e93ec93e8d41e9",
+        "worst_case.json": "4cb1d71e986b3370f652aa41edfd4b7588b47f9b3f808aea44d69e65440cb61b",
+    },
     "nonadaptive-search --n 2 --k 5 --feedback b --repeats yes --mode nonadaptive --s-cap 8 --space-budget 25": {
         "nonadaptive_search.json": "87ba15ae1ed9b8a429a96a29a262edae4f4ae4283c7abce1fe5abdb5998a2a74",
         "nonadaptive_search.queries": "441a13c680150a814041493b73ded51043a334f7f03726586b419b4c8a4eb834",
