@@ -2,13 +2,17 @@
 
 Feedback ids: a (black, white) response is packed as ``black * (n+1) + white``
 for black+white configs, or just ``black`` for black-only configs, giving a
-dense integer range in which buckets are counted per id.
+dense integer range in which buckets are counted per id. Tables hold them in
+the narrowest dtype that holds the largest (id_dtype), which no other module
+names.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .errors import CapacityError
 
 # read by perfbench/envinfo.py for its environment record
 USING_NUMBA = False
@@ -35,13 +39,28 @@ def _product_rows(cols: int) -> int:
     return max(1, PRODUCT_CELLS // max(cols, 1))
 
 
+def _largest_id(n: int, black_white: bool) -> int:
+    """The largest packed id of length-n codes: n black pegs, no white."""
+    return n * (n + 1) if black_white else n
+
+
+def id_dtype(n: int, black_white: bool) -> np.dtype:
+    """dtype of the packed feedback ids of length-n codes, the narrowest
+    that holds the largest: uint8 while it is below 256 (n <= 15
+    black+white, n <= 255 black-only), else int16, past which feedback_ids
+    refuses the ids."""
+    return np.dtype(np.uint8 if _largest_id(n, black_white) < 256 else np.int16)
+
+
 def feedback_bytes(rows: int, cols: int, n: int, k: int, black_white: bool) -> int:
     """Upper bound on the peak bytes of feedback_ids for rows queries and
-    cols codes: the int16 table, the float32 product buffer, and per code
-    every array of _features (bool one-hot and thresholds, float32 copies)."""
+    cols codes: the table (id_dtype, one byte per id up to n = 15
+    black+white), the float32 product buffer, and per code every array of
+    _features (bool one-hot and thresholds, float32 copies)."""
     per_code = (14 if black_white else 5) * n * k
     buffer = 4 * min(_product_rows(cols), rows) * cols
-    return 2 * rows * cols + buffer + per_code * (rows + cols)
+    table = id_dtype(n, black_white).itemsize * rows * cols
+    return table + buffer + per_code * (rows + cols)
 
 
 def code_features(codes: np.ndarray, k: int, black_white: bool) -> np.ndarray:
@@ -67,7 +86,8 @@ def feedback_ids(
     black_white: bool,
     sides: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Packed feedback ids for every (query, code) pair; shape (Q, H) int16.
+    """Packed feedback ids for every (query, code) pair; shape (Q, H),
+    dtype id_dtype(n, black_white).
 
     One float32 matrix product per block of query rows, at most
     PRODUCT_CELLS cells each. E(q)·E(x) is the black count, and
@@ -75,20 +95,27 @@ def feedback_ids(
     since min(a, b) = sum_t [a >= t][b >= t]; so
     [n*E | T](q)·[E | T](x) = n*black + matched = black*(n+1) + white.
     The product is exact: every term and partial sum is a non-negative
-    integer no larger than the final id, and ids stay below 2**15
-    (CodeSpace.feedback_rows checks this), far below float32's 2**24, so no
-    summation order or BLAS thread count can round.
+    integer no larger than the final id, and ids past int16's 32767 are
+    refused with CapacityError before anything is allocated (only k = 1
+    spaces with n >= 181 black+white, or n >= 32768 black-only, get there),
+    so they stay far below float32's 2**24 and no summation order or BLAS
+    thread count can round. Casting the product to the table dtype is
+    then exact too.
 
     sides, if given, is the queries' query_features and the codes'
     code_features, so neither is built here.
     """
+    n = codes.shape[1]
+    largest = _largest_id(n, black_white)
+    if largest > np.iinfo(np.int16).max:
+        raise CapacityError(f"feedback ids up to {largest} do not fit an int16 table")
     if sides is None:
         a = _features(queries, k, black_white, queries.shape[1])
         b = code_features(codes, k, black_white)
     else:
         a, b = sides
     step = _product_rows(len(codes))
-    out = np.empty((len(a), len(codes)), dtype=np.int16)
+    out = np.empty((len(a), len(codes)), dtype=id_dtype(n, black_white))
     buf = np.empty((min(step, len(a)), len(codes)), dtype=np.float32)
     for lo in range(0, len(a), step):
         block = buf[: len(a) - lo]

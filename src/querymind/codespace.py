@@ -200,9 +200,10 @@ def check_table_memory(
     config: VariantConfig, rows: int, cols: int, extra: int = 0
 ) -> None:
     """Raise CapacityError unless _kernels.feedback_ids, building a (rows,
-    cols) int16 table, fits in physical memory with every transient it
-    holds (_kernels.feedback_bytes; black_rows builds black-only features in
-    either mode, so for it this is an upper bound) and with `extra` bytes
+    cols) table of one byte per id (two past n = 15 black+white), fits in
+    physical memory with every transient it holds (_kernels.feedback_bytes;
+    black_rows builds black-only rows in either mode, so for it this is an
+    upper bound) and with `extra` bytes
     the command keeps beside the table. It needs no enumerated codes, so a
     command can check first.
 
@@ -214,7 +215,7 @@ def check_table_memory(
     CodeSpace.query_column keeps; the adaptive commands count the list of
     one Symmetries as `extra` (symmetry_bytes). A sweep holds the rows of
     one bucket of the whole space at a time (perm-7: 1855 x 5040 ids,
-    18.7 MB). A game holds one block: each set with symmetries left is
+    9.3 MB). A game holds one block: each set with symmetries left is
     scored from its ids against one query per orbit (minimax_scores), so
     the block a perm-7 game builds is at most 193 x 5040 ids, not the
     first bucket's 1855 x 5040.
@@ -579,8 +580,9 @@ class CodeSpace:
     def _root_summary(self) -> tuple[np.ndarray, np.ndarray]:
         """From the feedback rows of the lowest code of each orbit of every
         symmetry, which are not kept: the ids that occur between two codes
-        (ascending int16, the dtype of the rows the kernel compares them
-        with) and the minimax scores of those codes over the space.
+        (ascending, in the dtype of those rows, which every block of rows
+        the kernel compares them with shares) and the minimax scores of
+        those codes over the space.
 
         Every code is g(r) for a symmetry g and such a code r, and
         feedback(g(r), x) = feedback(r, g^-1(x)), so their rows hold every
@@ -588,7 +590,7 @@ class CodeSpace:
         whole = self.symmetries
         rows = self.feedback_rows([0] if whole.trivial else whole.reps)
         counts = [np.bincount(row, minlength=self.n_fids) for row in rows]
-        ids = np.flatnonzero(np.sum(counts, axis=0)).astype(np.int16)
+        ids = np.flatnonzero(np.sum(counts, axis=0)).astype(rows.dtype)
         return ids, np.array([c.max() for c in counts])
 
     @property
@@ -629,13 +631,6 @@ class CodeSpace:
     def _feedbacks(self) -> list[Feedback]:
         return [self.feedback_of_fid(fid) for fid in range(self.n_fids)]
 
-    def _check_table(self, rows: int, n_ids: int) -> None:
-        """Raise CapacityError unless n_ids ids fit int16 and a (rows, size)
-        table fits in physical memory with its kernel features."""
-        if n_ids > 2**15:
-            raise CapacityError(f"{n_ids} feedback ids do not fit an int16 table")
-        check_table_memory(self.config, rows, self.size)
-
     @functools.cached_property
     def _code_side(self) -> np.ndarray:
         return _kernels.code_features(
@@ -647,17 +642,17 @@ class CodeSpace:
     ) -> np.ndarray:
         """Packed feedback ids of the codes at indices, as queries, against
         every code, or against the codes at cols; shape (len(indices), size
-        or len(cols)) int16. Feedback is symmetric, so column j also holds
+        or len(cols)), one byte per id up to n = 15 (the dtype is
+        _kernels.id_dtype's). Feedback is symmetric, so column j also holds
         code j's ids against the codes at indices.
 
         Raises CapacityError, before allocating, if the rows and the
         kernel's features would not fit in the machine's physical memory
-        (check_table_memory), or if packed ids would not fit int16 (only
-        k = 1 spaces with n >= 181 black+white, or n >= 32768 black-only,
-        get there); that limit also keeps the kernel exact. The code side of
-        the kernel is computed once per space.
+        (check_table_memory), and, before allocating the rows, if the
+        packed ids are too large for the kernel (_kernels.feedback_ids).
+        The code side of the kernel is computed once per space.
         """
-        self._check_table(len(indices), self.n_fids)
+        check_table_memory(self.config, len(indices), self.size)
         config = self.config
         bw = config.feedback is FeedbackMode.BLACK_WHITE
         side = self._code_side
@@ -668,7 +663,8 @@ class CodeSpace:
 
     def query_column(self, qi: int, indices: np.ndarray) -> np.ndarray:
         """Packed ids of query qi against the codes at indices; shape
-        (len(indices),) int16. Sets without rows split by these.
+        (len(indices),), the dtype of feedback_rows. Sets without rows split
+        by these.
 
         The first ask of qi over part of the space computes only those ids.
         From its second ask, or over the whole space, qi's whole row is
@@ -688,11 +684,12 @@ class CodeSpace:
 
     def black_rows(self, qis: Sequence[int]) -> np.ndarray:
         """Black-peg counts of the queries at indices qis against every code,
-        in either feedback mode; shape (len(qis), size) int16.
+        in either feedback mode; shape (len(qis), size), one byte per count
+        up to n = 255.
 
         Raises CapacityError, before allocating, as feedback_rows does.
         """
-        self._check_table(len(qis), self.config.n + 1)
+        check_table_memory(self.config, len(qis), self.size)
         return _kernels.feedback_ids(self.codes[qis], self.codes, self.config.k, False)
 
     def buckets(self, column: np.ndarray) -> list[tuple[Feedback, np.ndarray]]:

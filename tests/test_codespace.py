@@ -350,12 +350,14 @@ class TestFeedbackRows:
         # the second the whole row, which is kept for at most n*k queries
         space = CodeSpace.enumerate(config)
         table = space.feedback_rows(np.arange(space.size))
+        # one byte per id, as the largest id (n black pegs) is below 256
+        assert space.fid_of(Feedback(config.n, 0)) < 256
         rng = np.random.default_rng(5)
         for qi in range(space.size):
             indices = rng.choice(space.size, size=space.size // 3, replace=False)
             for _ in range(2):
                 column = space.query_column(qi, indices)
-                assert column.dtype == np.int16
+                assert column.dtype == table.dtype == np.uint8
                 assert column.tolist() == table[qi, indices].tolist()
             assert qi in space._query_rows
             assert len(space._query_rows) <= config.n * config.k
@@ -481,7 +483,7 @@ class TestSplit:
 
     def test_table_beyond_physical_memory_is_capacity(self):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        size = math.isqrt(physical // 2) + 1  # size**2 int16 cells > physical
+        size = math.isqrt(physical) + 1  # size**2 one-byte ids > physical
         config = VariantConfig(1, 2, feedback=FeedbackMode.BLACK_ONLY)
         space = CodeSpace(config, np.ones((size, 1), dtype=np.int16))
         with pytest.raises(CapacityError):

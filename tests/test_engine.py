@@ -195,13 +195,15 @@ class RowMeter:
     computes (calls counts them) or the bucket-counting kernel reads, so a
     copy of rows is seen when it is scored, and the most rows alive at
     once. A block against fewer codes than the space counts by its cells,
-    in rows of the whole space."""
+    in rows of the whole space; largest_bytes is the largest block's
+    bytes."""
 
     def __init__(self, monkeypatch, size):
         self.size = size
         self.live = []  # weak references to the recorded blocks
         self.most_live = 0
         self.largest = 0
+        self.largest_bytes = 0
         self.calls = 0
         computed, counted = CodeSpace.feedback_rows, _kernels.column_max_buckets
 
@@ -220,6 +222,7 @@ class RowMeter:
         if all(ref() is not block for ref in self.live):
             self.live.append(weakref.ref(block))
             self.largest = max(self.largest, block.size / self.size)
+            self.largest_bytes = max(self.largest_bytes, block.nbytes)
             self.most_live = max(self.most_live, sum(ref().size for ref in self.live) / self.size)
         return block
 
@@ -305,9 +308,13 @@ class TestRowBlocks:
 
     def test_perm7_sweep_reads_fewer_cells(self, monkeypatch):
         # 70_705_931 cells with the generator rows' orbits
+        meter = RowMeter(monkeypatch, 5040)
         result, cells = _sweep_cells(perm_config(7), monkeypatch)
         assert result.max_queries == 7
         assert cells <= 48_193_657
+        # the largest block is the rows of the first query's largest bucket,
+        # 1855 x 5040 ids of one byte each (18_698_400 bytes at two)
+        assert meter.largest_bytes <= 1855 * 5040
 
     def test_no_allocation_near_the_table(self, perm6):
         # the old table alone took size**2 int16; a minimax game now peaks

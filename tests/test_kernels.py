@@ -11,20 +11,43 @@ def _random_codes(rng, rows, n, k):
     return rng.integers(1, k + 1, size=(rows, n)).astype(np.int16)
 
 
-@pytest.mark.parametrize("feedback_mode", list(FeedbackMode), ids=lambda m: m.value)
-@pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (4, 6), (5, 3), (2, 7)])
+BW, B = FeedbackMode.BLACK_WHITE, FeedbackMode.BLACK_ONLY
+ID_CASES = [
+    *(
+        pytest.param(n, k, mode, id=f"{n}-{k}-{mode.value}")
+        for n, k in [(1, 1), (3, 2), (4, 6), (5, 3), (2, 7)]
+        for mode in FeedbackMode
+    ),
+    # the widths' boundaries: largest ids 240 and 272, 255 and 256
+    pytest.param(15, 3, BW, id="15-3-bw"),
+    pytest.param(16, 3, BW, id="16-3-bw"),
+    pytest.param(255, 2, B, id="255-2-b"),
+    pytest.param(256, 2, B, id="256-2-b"),
+]
+
+
+@pytest.mark.parametrize("n,k,feedback_mode", ID_CASES)
 def test_feedback_ids_match_scalar(n, k, feedback_mode):
     rng = np.random.default_rng(11)
     q = _random_codes(rng, 40, n, k)
     h = _random_codes(rng, 40, n, k)
+    h[:4] = q[:4]  # equal codes give the largest id, n black pegs
     black_white = feedback_mode is FeedbackMode.BLACK_WHITE
     out = _kernels.feedback_ids(q, h, k, black_white)
-    assert out.shape == (40, 40) and out.dtype == np.int16
+    # one byte per id exactly when the largest id fits one
+    largest = n * (n + 1) if black_white else n
+    assert out.shape == (40, 40) and out.max() == largest
+    assert out.dtype == (np.uint8 if largest < 256 else np.int16)
     cfg = VariantConfig(n, k, feedback=feedback_mode)
     for i in range(40):
         for j in range(40):
             fb = feedback(tuple(map(int, q[i])), tuple(map(int, h[j])), cfg)
             assert out[i, j] == (fb.black * (n + 1) + fb.white if black_white else fb.black)
+
+
+def test_feedback_bytes_count_one_byte_per_id():
+    # perm-7's 5040 x 5040 ids: 54_321_120 bytes when they took two bytes
+    assert _kernels.feedback_bytes(5040, 5040, 7, 7, False) == 54_321_120 - 5040**2
 
 
 def test_max_bucket_sizes_against_counter():
