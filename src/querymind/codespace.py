@@ -200,11 +200,11 @@ def check_table_memory(
     config: VariantConfig, rows: int, cols: int, extra: int = 0
 ) -> None:
     """Raise CapacityError unless _kernels.feedback_ids, building a (rows,
-    cols) table of one byte per id (two past n = 15 black+white), fits in
-    physical memory with every transient it holds (_kernels.feedback_bytes;
-    black_rows builds black-only rows in either mode, so for it this is an
-    upper bound) and with `extra` bytes
-    the command keeps beside the table. It needs no enumerated codes, so a
+    cols) table of one byte per id (two once the largest id passes 255),
+    fits in physical memory with every transient it holds
+    (_kernels.feedback_bytes; black_rows builds black-only rows in either
+    mode, so for it this is an upper bound) and with `extra` bytes the
+    command keeps beside the table. It needs no enumerated codes, so a
     command can check first.
 
     The table commands check a whole (size, size) table, though only the
@@ -642,8 +642,8 @@ class CodeSpace:
     ) -> np.ndarray:
         """Packed feedback ids of the codes at indices, as queries, against
         every code, or against the codes at cols; shape (len(indices), size
-        or len(cols)), one byte per id up to n = 15 (the dtype is
-        _kernels.id_dtype's). Feedback is symmetric, so column j also holds
+        or len(cols)) in _kernels.id_dtype: one byte per id while the
+        largest id is below 256. Feedback is symmetric, so column j also holds
         code j's ids against the codes at indices.
 
         Raises CapacityError, before allocating, if the rows and the
