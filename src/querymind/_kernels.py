@@ -22,18 +22,6 @@ COMPARE_CELLS = 1 << 20  # bool cells of column_max_buckets' compare buffer
 BLOCK_ROWS = 255  # rows per column_max_buckets block: a uint8 count holds them
 
 
-def _features(codes: np.ndarray, k: int, black_white: bool, scale: int) -> np.ndarray:
-    """Rows [scale * E | T] (or E alone) as float32: E is the one-hot n*k
-    encoding of encode01, T the k*n thresholds [count_c >= t], t = 1..n."""
-    rows, n = codes.shape
-    onehot = codes[:, :, None] == np.arange(1, k + 1)
-    e = onehot.reshape(rows, n * k)
-    if not black_white:
-        return e.astype(np.float32)
-    above = onehot.sum(axis=1)[:, :, None] >= np.arange(1, n + 1)
-    return np.hstack([np.float32(scale) * e, above.reshape(rows, k * n)], dtype=np.float32)
-
-
 def _product_rows(cols: int) -> int:
     """Query rows per matrix product of feedback_ids against cols codes."""
     return max(1, PRODUCT_CELLS // max(cols, 1))
@@ -56,7 +44,7 @@ def feedback_bytes(rows: int, cols: int, n: int, k: int, black_white: bool) -> i
     """Upper bound on the peak bytes of feedback_ids for rows queries and
     cols codes: the table (id_dtype, one byte per id up to n = 15
     black+white), the float32 product buffer, and per code every array of
-    _features (bool one-hot and thresholds, float32 copies)."""
+    code_features (bool one-hot and thresholds, float32 copies)."""
     per_code = (14 if black_white else 5) * n * k
     buffer = 4 * min(_product_rows(cols), rows) * cols
     table = id_dtype(n, black_white).itemsize * rows * cols
@@ -67,8 +55,17 @@ def code_features(codes: np.ndarray, k: int, black_white: bool) -> np.ndarray:
     """Rows [E | T] (or E alone) of every code, the code side of
     feedback_ids; shape (len(codes), width) float32. A caller that builds
     many blocks over one code space computes them once and passes them as
-    sides, the query rows as query_features of its rows."""
-    return _features(codes, k, black_white, 1)
+    sides, the query rows as query_features of its rows.
+
+    E is the one-hot n*k encoding of encode01, T the k*n thresholds
+    [count_c >= t], t = 1..n."""
+    rows, n = codes.shape
+    onehot = codes[:, :, None] == np.arange(1, k + 1)
+    e = onehot.reshape(rows, n * k)
+    if not black_white:
+        return e.astype(np.float32)
+    above = onehot.sum(axis=1)[:, :, None] >= np.arange(1, n + 1)
+    return np.hstack([e, above.reshape(rows, k * n)], dtype=np.float32)
 
 
 def query_features(rows: np.ndarray, n: int, k: int, black_white: bool) -> np.ndarray:
@@ -110,7 +107,7 @@ def feedback_ids(
     if largest > np.iinfo(np.int16).max:
         raise CapacityError(f"feedback ids up to {largest} do not fit an int16 table")
     if sides is None:
-        a = _features(queries, k, black_white, queries.shape[1])
+        a = query_features(code_features(queries, k, black_white), n, k, black_white)
         b = code_features(codes, k, black_white)
     else:
         a, b = sides

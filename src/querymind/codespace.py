@@ -208,17 +208,9 @@ def check_table_memory(
     command can check first.
 
     The table commands check a whole (size, size) table, though only the
-    non-adaptive search builds one. A game, sweep or exact search holds
-    blocks of rows of disjoint solution sets below the root, which the
-    sets below them view without copying (strategies.SolutionSet), so it
-    stays within one table beside the rows of single queries that
-    CodeSpace.query_column keeps; the adaptive commands count the list of
-    one Symmetries as `extra` (symmetry_bytes). A sweep holds the rows of
-    one bucket of the whole space at a time (perm-7: 1855 x 5040 ids,
-    9.3 MB). A game holds one block: each set with symmetries left is
-    scored from its ids against one query per orbit (minimax_scores), so
-    the block a perm-7 game builds is at most 193 x 5040 ids, not the
-    first bucket's 1855 x 5040.
+    non-adaptive search builds one; a game, sweep or exact search stays
+    within one table (strategies.SolutionSet says why), and the adaptive
+    commands count the list of one Symmetries as `extra` (symmetry_bytes).
     """
     need = extra + _kernels.feedback_bytes(
         rows, cols, config.n, config.k, config.feedback is FeedbackMode.BLACK_WHITE
@@ -231,15 +223,6 @@ def check_table_memory(
             + (f" ({extra} of them beside the table)" if extra else "")
             + f", over physical memory of {physical} bytes"
         )
-
-
-def _gathered(rows: Rows) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The block of rows and the positions the bucket-counting kernel
-    gathers, None if the rows cover the block: their positions ascend and
-    are distinct, so they are every row in order, read as slices with no
-    gathered copy."""
-    block, at = rows
-    return block, None if len(at) == len(block) else at
 
 
 def symmetry_bytes(config: VariantConfig) -> int:
@@ -604,11 +587,11 @@ class CodeSpace:
         return len(self._realised_ids)
 
     @functools.cached_property
-    def _full_scores(self) -> np.ndarray:
-        """minimax_scores of the whole space, read-only. A symmetry g maps
-        the space onto itself and keeps feedback, so g(q) and q have the
-        same largest bucket: the scores are constant on orbits, and one row
-        per orbit gives them all."""
+    def full_scores(self) -> np.ndarray:
+        """Largest response bucket over the whole space of every query,
+        read-only. A symmetry g maps the space onto itself and keeps
+        feedback, so g(q) and q have the same largest bucket: the scores
+        are constant on orbits, and one row per orbit gives them all."""
         root_scores = self._root_summary[1]
         whole = self.symmetries
         scores = root_scores if whole.trivial else whole.spread(root_scores)
@@ -706,41 +689,13 @@ class CodeSpace:
             for lo, hi in zip([0, *cuts], [*cuts, len(fids)])
         ]
 
-    def minimax_scores(
-        self,
-        indices: np.ndarray,
-        rows: Optional[Rows] = None,
-        symmetries: Optional[Symmetries] = None,
-    ) -> np.ndarray:
-        """Largest response bucket over the distinct codes at indices, for
-        every query (by index); shape (size,) int64. rows, if given, view
-        the rows of indices (see member_scores). The whole space is scored
-        from one row per orbit (_full_scores, read-only), never from size
-        rows.
-
-        symmetries, if given, map the set S of indices onto itself. A symmetry g keeps feedback, so g(q)
-        splits S = g(S) into the images of q's buckets, and g(q) and q have
-        the same score: scores are constant on orbits. Then only the lowest
-        query of each orbit is scored, from the columns of rows at those
-        queries, or, without rows, from the ids of S against them alone
-        (feedback_rows(indices, reps)), never from len(S) whole rows.
-        """
-        if len(indices) == self.size:
-            return self._full_scores
-        symmetric = symmetries is not None and not symmetries.trivial
-        cols = symmetries.reps if symmetric else None
-        if rows is None:
-            block, at = self.feedback_rows(indices, cols), None
-            cols = None  # the block holds only those columns
-        else:
-            block, at = _gathered(rows)
-        scores = _kernels.column_max_buckets(block, at, self._realised_ids, cols)
-        return symmetries.spread(scores) if symmetric else scores
-
-    def member_scores(self, indices: np.ndarray, rows: Rows) -> np.ndarray:
-        """Largest response bucket over the codes at indices of each of
-        those codes as a query, read from their |S| x |S| block of rows;
-        shape (len(indices),) int64. rows are a pair (block, at): rows of
-        a superset of indices and the positions of indices among them."""
-        block, at = _gathered(rows)
-        return _kernels.column_max_buckets(block, at, self._realised_ids, indices)
+    def bucket_maxima(self, rows: Rows, cols: Optional[np.ndarray] = None) -> np.ndarray:
+        """Largest bucket of each column of rows = (block, positions), over
+        the rows of block at those positions, or of the columns at cols
+        only; shape (block's width or len(cols),) int64. Only the ids that
+        occur between two codes are counted. Positions ascend and are
+        distinct, so positions that cover the block are every row in
+        order, read as slices with no gathered copy."""
+        block, at = rows
+        at = None if len(at) == len(block) else at
+        return _kernels.column_max_buckets(block, at, self._realised_ids, cols)

@@ -18,6 +18,7 @@ from .codespace import (
     MemoMeter,
     VariantConfig,
     feedback,
+    format_code,
     validate_code,
 )
 from .combinatorics import ceil_log
@@ -42,8 +43,6 @@ class GameTranscript:
     sizes: tuple[int, ...]  # |S_t| trace, sizes[0] = full space
 
     def to_json(self) -> dict:
-        from .codespace import format_code
-
         return {
             "config": self.config.to_json(),
             "turns": [
@@ -157,8 +156,6 @@ class WorstCaseResult:
     exhausted: list[Code] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        from .codespace import format_code
-
         return {
             "strategy": self.strategy,
             "config": self.config.to_json(),

@@ -27,6 +27,10 @@ Turn = tuple[Code, Feedback]
 class SolutionSet:
     """Immutable set of code-space indices consistent with a transcript.
 
+    Scoring. minimax_scores alone decides how a set is scored; CodeSpace
+    only builds feedback ids (feedback_rows) and counts buckets
+    (bucket_maxima).
+
     Feedback rows. One rule, decided here alone, says which sets hold rows.
     A set below the whole space that is scored while it holds nothing
     computes one block, the feedback rows of its codes against every code
@@ -36,16 +40,20 @@ class SolutionSet:
     as long as the last set that views it, and down a tree each code's row
     is computed at most once. Feedback ids are symmetric, so the split by
     query q reads column q of the view. The whole space holds no rows: it
-    is scored from one row per orbit and split by the row of the query
-    played (CodeSpace.query_column), as is every set of a strategy that
-    never scores.
+    reads CodeSpace.full_scores, computed from one row per orbit, and is
+    split by the row of the query played (CodeSpace.query_column), as is
+    every set of a strategy that never scores.
 
     Symmetries. The whole space and every set split from it carry the
     symmetries that fix every query played (codespace.Symmetries, computed
-    only if the set is scored), which map the set onto itself. A set whose
-    group is not trivial is scored once per orbit
-    (CodeSpace.minimax_scores): from the columns of its view, or without
-    one from its ids against one query per orbit.
+    only if the set is scored), which map the set S onto itself. A
+    symmetry g keeps feedback, so g(q) splits S = g(S) into the images of
+    q's buckets, and g(q) and q have the same score: scores are constant
+    on orbits. So a set whose group is not trivial scores only the lowest
+    query of each orbit, from the columns of its view at those queries,
+    or without a view from its ids against them alone
+    (feedback_rows(indices, reps)), never from |S| whole rows, and spreads
+    the scores over the orbits.
 
     Walks. In a walk that scores every child (walk: a sweep or the exact
     solver) a scored set without a view computes its block whatever its
@@ -54,6 +62,15 @@ class SolutionSet:
     most one table. A game follows one child, so there only a set with a
     trivial group computes a block, and a game's first bucket is scored
     from one query per orbit instead.
+
+    Memory. Hence a game, sweep or exact search holds only blocks of rows
+    of disjoint sets below the root, viewed without copying, and stays within
+    one table (codespace.check_table_memory) beside the rows of single
+    queries that CodeSpace.query_column keeps. A sweep holds the rows of
+    one bucket of the whole space at a time (perm-7: 1855 x 5040 ids,
+    9.3 MB). A game holds one block: each set with symmetries left is
+    scored against one query per orbit, so the block a perm-7 game builds
+    is at most 193 x 5040 ids, not the first bucket's 1855 x 5040.
     """
 
     __slots__ = ("space", "indices", "view", "symmetries", "_walk")
@@ -89,21 +106,27 @@ class SolutionSet:
         return self.space.decode(int(self.indices[0]))
 
     def minimax_scores(self) -> np.ndarray:
-        """CodeSpace.minimax_scores of this set, from its view and
-        symmetries; a set below the whole space without a view first
-        computes its block, in a walk or if its group is trivial."""
+        """Largest response bucket over this set for every query (by
+        index); shape (size,) int64, read-only for the whole space."""
         space, group = self.space, self.symmetries
         if len(self) == space.size:
-            return space.minimax_scores(self.indices)
-        trivial = group is None or group.trivial  # labels first, out of the block's peak
-        if self.view is None and (self._walk or trivial):
+            return space.full_scores
+        symmetric = group is not None and not group.trivial  # labels first, out of the block's peak
+        if self.view is None and (self._walk or not symmetric):
             self.view = (space.feedback_rows(self.indices), np.arange(len(self)))
-        return space.minimax_scores(self.indices, self.view, group)
+        cols = group.reps if symmetric else None
+        if self.view is None:
+            block = space.feedback_rows(self.indices, cols)  # only those columns
+            scores = space.bucket_maxima((block, np.arange(len(self))))
+        else:
+            scores = space.bucket_maxima(self.view, cols)
+        return group.spread(scores) if symmetric else scores
 
     def member_scores(self) -> Optional[np.ndarray]:
-        """CodeSpace.member_scores of this set from its view, or None if it
-        has none."""
-        return None if self.view is None else self.space.member_scores(self.indices, self.view)
+        """Largest response bucket over this set of each of its codes as a
+        query, read from the |S| x |S| columns of its view; None if it has
+        no view."""
+        return None if self.view is None else self.space.bucket_maxima(self.view, self.indices)
 
     def split(self, qi: int) -> list[tuple[Feedback, "SolutionSet"]]:
         """Non-empty response buckets of query index qi, as (response,
@@ -202,23 +225,6 @@ class _RationalBasis:
         return True
 
 
-def _first_outside_span(
-    basis: _RationalBasis, space: CodeSpace, marks: np.ndarray
-) -> Optional[Code]:
-    """Add the lowest-index code whose encoding lies outside the basis span
-    to the basis and return it, or None if every code lies inside.
-
-    Scanned codes are marked and skipped later: they stay inside the span as
-    the basis grows.
-    """
-    for idx in np.flatnonzero(~marks):
-        marks[idx] = True
-        c = space.decode(int(idx))
-        if basis.add(encode01(c, space.config)):
-            return c
-    return None
-
-
 class Strategy:
     """Deterministic query chooser: identical histories, identical queries."""
 
@@ -277,12 +283,18 @@ class BasisStrategy(Strategy):
             self._basis = _RationalBasis(config.n * config.k)
             self._marks = np.zeros(space.size, dtype=bool)
         while len(self._queries) <= len(history):
-            c = _first_outside_span(self._basis, space, self._marks)
-            if c is None:
+            # the lowest-index code outside the span; scanned codes are
+            # marked, since they stay inside the span as the basis grows
+            for idx in np.flatnonzero(~self._marks):
+                self._marks[idx] = True
+                c = space.decode(int(idx))
+                if self._basis.add(encode01(c, config)):
+                    self._queries.append(c)
+                    break
+            else:
                 raise ContradictionError(
                     "query span exhausted while multiple candidates remain"
                 )
-            self._queries.append(c)
         queries = self._queries[: len(history) + 1]
         if any(tuple(q) != mine for (q, _), mine in zip(history, queries)):
             raise ProtocolError("history does not follow the basis query sequence")

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import os
 import random
 import tracemalloc
 
@@ -339,7 +338,7 @@ class TestFeedbackRows:
         codes = list(space)
         table = [[space.fid_of(feedback(q, x, config)) for x in codes] for q in codes]
         want = [max(np.bincount(column)) for column in zip(*table)]
-        scores = space.minimax_scores(np.arange(space.size))
+        scores = SolutionSet(space, np.arange(space.size)).minimax_scores()
         assert scores.dtype == np.int64 and scores.tolist() == want
         assert not scores.flags.writeable
         assert space.n_realised_fids == len({fid for row in table for fid in row})
@@ -456,11 +455,11 @@ class TestSplit:
         indices = np.arange(1, space.size, 3, dtype=np.int64)
         s = SolutionSet(space, indices)
         expected = [max(len(b) for _, b in s.split(qi)) for qi in range(space.size)]
-        assert space.minimax_scores(indices).tolist() == expected
+        assert SolutionSet(space, indices).minimax_scores().tolist() == expected
 
     def test_minimax_scores_of_empty_indices_are_zero(self):
         space = CodeSpace.enumerate(VariantConfig(2, 2))
-        scores = space.minimax_scores(np.arange(0, dtype=np.int64))
+        scores = SolutionSet(space, np.arange(0, dtype=np.int64)).minimax_scores()
         assert scores.dtype == np.int64
         assert scores.tolist() == [0] * space.size
 
@@ -481,8 +480,11 @@ class TestSplit:
             with pytest.raises(CapacityError):
                 big.feedback_rows(np.arange(big.size))
 
-    def test_table_beyond_physical_memory_is_capacity(self):
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    def test_table_beyond_physical_memory_is_capacity(self, monkeypatch):
+        # 1 MiB of physical memory: a check that under-counts builds a table
+        # of about 1 MB and fails here, not one of half the machine's memory
+        physical = 1 << 20
+        monkeypatch.setattr(codespace, "_physical_memory", lambda: physical)
         size = math.isqrt(physical) + 1  # size**2 one-byte ids > physical
         config = VariantConfig(1, 2, feedback=FeedbackMode.BLACK_ONLY)
         space = CodeSpace(config, np.ones((size, 1), dtype=np.int16))

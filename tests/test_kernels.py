@@ -5,6 +5,7 @@ import pytest
 
 from querymind import _kernels
 from querymind.codespace import CodeSpace, FeedbackMode, Repeats, VariantConfig, feedback
+from querymind.strategies import SolutionSet
 
 
 def _random_codes(rng, rows, n, k):
@@ -177,7 +178,7 @@ def test_minimax_scores_against_column_reference(cfg):
         indices = rng.choice(space.size, size=m, replace=False)
         for s in (indices, np.sort(indices)):
             want = [np.bincount(table[q, s]).max() for q in range(space.size)]
-            assert space.minimax_scores(s).tolist() == want
+            assert SolutionSet(space, s).minimax_scores().tolist() == want
 
 
 @pytest.mark.parametrize("n_rows", [0, 254, 255, 256, 511, 600])

@@ -1,7 +1,8 @@
 """Feedback ids are computed only by CodeSpace (feedback_rows, query_column,
 black_rows), so changing how changes one module; only SolutionSet decides
-which solution sets hold feedback rows; and the searches take an enumerated
-CodeSpace, so only the CLI decides how large a space may be."""
+which solution sets hold feedback rows and how a set is scored; and the
+searches take an enumerated CodeSpace, so only the CLI decides how large a
+space may be."""
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,13 @@ def test_only_solution_sets_decide_which_hold_rows():
     source = (PACKAGE / "engine.py").read_text()
     assert ".rows()" not in source
     assert ".view" not in source
+
+
+def test_only_solution_sets_score():
+    callers = {
+        path.name for path in PACKAGE.glob("*.py") if ".bucket_maxima(" in path.read_text()
+    }
+    assert callers == {"strategies.py"}
+    source = (PACKAGE / "engine.py").read_text()
+    assert "bucket_maxima" not in source
+    assert "column_max_buckets" not in source

@@ -183,17 +183,17 @@ class TestMinimax:
         cfg, space = perm3
         s = SolutionSet(space, [0])
         for q in space:
-            assert space.minimax_scores(s.indices)[space.encode(q)] == 1
+            assert SolutionSet(space, s.indices).minimax_scores()[space.encode(q)] == 1
 
     def test_score_of_answered_query_is_full_set(self, perm3):
         cfg, space = perm3
         s = filter_consistent(SolutionSet.full(space), (1, 2, 3), Feedback(1))
-        assert space.minimax_scores(s.indices)[space.encode((1, 2, 3))] == len(s)
+        assert SolutionSet(space, s.indices).minimax_scores()[space.encode((1, 2, 3))] == len(s)
 
     def test_perm3_score(self, perm3):
         cfg, space = perm3
         s = SolutionSet.full(space)
-        assert space.minimax_scores(s.indices)[space.encode((1, 2, 3))] == 3
+        assert SolutionSet(space, s.indices).minimax_scores()[space.encode((1, 2, 3))] == 3
 
     def test_two_candidates_returns_member(self, perm3):
         cfg, space = perm3
