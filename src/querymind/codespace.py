@@ -689,13 +689,17 @@ class CodeSpace:
             for lo, hi in zip([0, *cuts], [*cuts, len(fids)])
         ]
 
-    def bucket_maxima(self, rows: Rows, cols: Optional[np.ndarray] = None) -> np.ndarray:
-        """Largest bucket of each column of rows = (block, positions), over
-        the rows of block at those positions, or of the columns at cols
-        only; shape (block's width or len(cols),) int64. Only the ids that
-        occur between two codes are counted. Positions ascend and are
-        distinct, so positions that cover the block are every row in
-        order, read as slices with no gathered copy."""
-        block, at = rows
-        at = None if len(at) == len(block) else at
+    def bucket_maxima(
+        self,
+        block: np.ndarray,
+        at: Optional[np.ndarray] = None,
+        cols: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Largest bucket of each column of block, over its rows at the
+        positions at (every row if None), or of the columns at cols only;
+        shape (block's width or len(cols),) int64. Only the ids that occur
+        between two codes are counted. Positions ascend and are distinct,
+        so positions that cover the block are every row in order, read as
+        slices with no gathered copy."""
+        at = None if at is not None and len(at) == len(block) else at
         return _kernels.column_max_buckets(block, at, self._realised_ids, cols)

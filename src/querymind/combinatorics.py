@@ -7,6 +7,7 @@ values.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +55,7 @@ def harmonic(m: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, m + 1)), Fraction(0))
 
 
+@functools.lru_cache
 def harmonic_brackets(m: int) -> tuple[Fraction, Fraction]:
     """Rigorous rational lower/upper brackets of H_m, cheap for large m.
 
@@ -119,12 +121,8 @@ class Theorem1Report:
     largest_c_holding: Optional[int]  # largest c' <= c where it holds
 
 
-def _condition_brackets(
-    n: int, c: int, h_n: Optional[tuple[Fraction, Fraction]] = None
-) -> tuple[Fraction, Fraction]:
-    """Brackets of c! - (H_n - H_c); h_n, if given, is harmonic_brackets(n),
-    which costs O(n) big-integer divisions."""
-    h_n_lo, h_n_hi = harmonic_brackets(n) if h_n is None else h_n
+def _condition_brackets(n: int, c: int) -> tuple[Fraction, Fraction]:
+    h_n_lo, h_n_hi = harmonic_brackets(n)
     h_c_lo, h_c_hi = harmonic_brackets(c)
     fact = math.factorial(c)
     return fact - (h_n_hi - h_c_lo), fact - (h_n_lo - h_c_hi)
@@ -146,8 +144,7 @@ def theorem1_report(n: int, log_base: str = "e") -> Theorem1Report:
     else:
         raise DomainError(f"log_base must be 'e' or '2', got {log_base!r}")
     c = max(1, min(c, n - 1))
-    h_n = harmonic_brackets(n)
-    lo, hi = _condition_brackets(n, c, h_n)
+    lo, hi = _condition_brackets(n, c)
     if lo <= 1 < hi:
         raise DomainError(
             f"harmonic brackets too coarse to decide the condition at n={n}, c={c}"
@@ -155,7 +152,7 @@ def theorem1_report(n: int, log_base: str = "e") -> Theorem1Report:
     holds = lo > 1
     largest: Optional[int] = None
     for cand in range(c, 0, -1):
-        cand_lo, _ = _condition_brackets(n, cand, h_n)
+        cand_lo, _ = _condition_brackets(n, cand)
         if cand_lo > 1:
             largest = cand
             break  # condition is monotone in c, smaller c cannot hold

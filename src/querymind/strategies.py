@@ -28,8 +28,8 @@ class SolutionSet:
     """Immutable set of code-space indices consistent with a transcript.
 
     Scoring. minimax_scores alone decides how a set is scored; CodeSpace
-    only builds feedback ids (feedback_rows) and counts buckets
-    (bucket_maxima).
+    builds feedback ids (feedback_rows), counts buckets (bucket_maxima)
+    and caches the whole space's scores (full_scores).
 
     Feedback rows. One rule, decided here alone, says which sets hold rows.
     A set below the whole space that is scored while it holds nothing
@@ -115,18 +115,17 @@ class SolutionSet:
         if self.view is None and (self._walk or not symmetric):
             self.view = (space.feedback_rows(self.indices), np.arange(len(self)))
         cols = group.reps if symmetric else None
-        if self.view is None:
-            block = space.feedback_rows(self.indices, cols)  # only those columns
-            scores = space.bucket_maxima((block, np.arange(len(self))))
+        if self.view is None:  # only the columns at cols
+            scores = space.bucket_maxima(space.feedback_rows(self.indices, cols))
         else:
-            scores = space.bucket_maxima(self.view, cols)
+            scores = space.bucket_maxima(*self.view, cols)
         return group.spread(scores) if symmetric else scores
 
     def member_scores(self) -> Optional[np.ndarray]:
         """Largest response bucket over this set of each of its codes as a
         query, read from the |S| x |S| columns of its view; None if it has
         no view."""
-        return None if self.view is None else self.space.bucket_maxima(self.view, self.indices)
+        return None if self.view is None else self.space.bucket_maxima(*self.view, self.indices)
 
     def split(self, qi: int) -> list[tuple[Feedback, "SolutionSet"]]:
         """Non-empty response buckets of query index qi, as (response,
