@@ -22,7 +22,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import engine, nonadaptive
 from .codespace import (
@@ -241,30 +241,27 @@ def _space_budget(args: argparse.Namespace, default: int) -> int:
     return budget
 
 
-def _table_space(
-    args: argparse.Namespace,
-    config: VariantConfig,
-    extra_bytes: Optional[Callable[[VariantConfig], int]] = None,
-) -> CodeSpace:
+def _table_space(args: argparse.Namespace, config: VariantConfig) -> CodeSpace:
     """The space of a command whose feedback rows are bounded by one whole
-    size x size table (see check_table_memory) and that keeps
-    extra_bytes(config) bytes beside it. The command's space budget is
-    checked first, then the memory, so a refused request costs no
-    enumeration; extra_bytes is only called on a space within the budget."""
+    size x size table (see check_table_memory); an adaptive command also
+    keeps the symmetries of its sets beside it (symmetry_bytes). The
+    command's space budget is checked first, then the memory, so a refused
+    request costs no enumeration; symmetry_bytes is only called on a space
+    within the budget."""
     default, name = _TABLE_BUDGETS[args.command]
     budget = _space_budget(args, default)
     if config.space_size > budget:
         raise CapacityError(
             f"space size {config.space_size} exceeds {name} budget {budget}"
         )
-    extra = 0 if extra_bytes is None else extra_bytes(config)
+    extra = symmetry_bytes(config) if config.mode is Mode.ADAPTIVE else 0
     size = config.space_size
     check_table_memory(config, size, size, extra)
     return CodeSpace.enumerate(config, budget)
 
 
 def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), symmetry_bytes)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     if args.hidden is not None:
         hidden = parse_code(args.hidden)
     else:
@@ -284,7 +281,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), symmetry_bytes)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     strategy = get_strategy(args.strategy)
     result = engine.worst_case_queries(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "worst_case", args, "result", result.to_json())
@@ -309,7 +306,7 @@ def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), symmetry_bytes)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     result = engine.exact_game_value(space, depth_cap=args.turn_budget)
     _write_result(out, "exact_value", args, "result", result.to_json())
     capped = " (depth cap reached)" if result.capped else ""
@@ -334,7 +331,7 @@ def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
-    space = _table_space(args, _config_from(args, Mode.ADAPTIVE), symmetry_bytes)
+    space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     strategy = get_strategy(args.strategy)
     transcript = engine.play_adversarial(strategy, space, turn_budget=args.turn_budget)
     _write_result(out, "adversary_trace", args, "transcript", transcript.to_json())

@@ -69,7 +69,7 @@ class VariantConfig:
         """Number of valid codes: k^n with repeats, k!/(k-n)! without."""
         if self.repeats is Repeats.ALLOWED:
             return self.k**self.n
-        return math.factorial(self.k) // math.factorial(self.k - self.n)
+        return math.perm(self.k, self.n)
 
     def to_json(self) -> dict:
         return {
@@ -460,6 +460,14 @@ class Symmetries:
         return rep_values[self._spread[1]]
 
 
+class RootSummary(NamedTuple):
+    """The realised feedback ids and the root scores of a space
+    (CodeSpace.root_summary)."""
+
+    ids: np.ndarray  # ids that occur between two codes, ascending, in the rows' dtype
+    scores: np.ndarray  # largest bucket over the space of each orbit's lowest code, read-only
+
+
 @dataclass
 class CodeSpace:
     """Indexed lexicographic enumeration of all valid codes for a config."""
@@ -560,43 +568,28 @@ class CodeSpace:
         return Symmetries(self)
 
     @functools.cached_property
-    def _root_summary(self) -> tuple[np.ndarray, np.ndarray]:
-        """From the feedback rows of the lowest code of each orbit of every
-        symmetry, which are not kept: the ids that occur between two codes
-        (ascending, in the dtype of those rows, which every block of rows
-        the kernel compares them with shares) and the minimax scores of
-        those codes over the space.
+    def root_summary(self) -> RootSummary:
+        """From the feedback rows, which are not kept, of the lowest code
+        of each orbit of every symmetry (Symmetries.reps; code 0 alone if
+        that group is trivial).
 
         Every code is g(r) for a symmetry g and such a code r, and
         feedback(g(r), x) = feedback(r, g^-1(x)), so their rows hold every
-        id that occurs."""
+        id that occurs. The ids keep the dtype of those rows, which every
+        block of rows the kernel compares them with shares. SolutionSet
+        spreads the scores over the orbits."""
         whole = self.symmetries
         rows = self.feedback_rows([0] if whole.trivial else whole.reps)
         counts = [np.bincount(row, minlength=self.n_fids) for row in rows]
         ids = np.flatnonzero(np.sum(counts, axis=0)).astype(rows.dtype)
-        return ids, np.array([c.max() for c in counts])
-
-    @property
-    def _realised_ids(self) -> np.ndarray:
-        """The feedback ids that occur between two codes, ascending."""
-        return self._root_summary[0]
+        scores = np.array([c.max() for c in counts])
+        scores.flags.writeable = False
+        return RootSummary(ids, scores)
 
     @property
     def n_realised_fids(self) -> int:
         """Number of feedback ids that occur between two codes."""
-        return len(self._realised_ids)
-
-    @functools.cached_property
-    def full_scores(self) -> np.ndarray:
-        """Largest response bucket over the whole space of every query,
-        read-only. A symmetry g maps the space onto itself and keeps
-        feedback, so g(q) and q have the same largest bucket: the scores
-        are constant on orbits, and one row per orbit gives them all."""
-        root_scores = self._root_summary[1]
-        whole = self.symmetries
-        scores = root_scores if whole.trivial else whole.spread(root_scores)
-        scores.flags.writeable = False
-        return scores
+        return len(self.root_summary.ids)
 
     def fid_of(self, fb: Feedback) -> int:
         if self.config.feedback is FeedbackMode.BLACK_WHITE:
@@ -702,4 +695,4 @@ class CodeSpace:
         so positions that cover the block are every row in order, read as
         slices with no gathered copy."""
         at = None if at is not None and len(at) == len(block) else at
-        return _kernels.column_max_buckets(block, at, self._realised_ids, cols)
+        return _kernels.column_max_buckets(block, at, self.root_summary.ids, cols)

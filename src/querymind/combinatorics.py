@@ -172,7 +172,7 @@ def entropy_lower_bound(n: int, k: int) -> int:
     """ceil((1/3) * log2(k!/(k-n)!)) via exact comparison against powers of 2."""
     if n < 1 or k < n:
         raise DomainError(f"need k >= n >= 1, got n={n}, k={k}")
-    return ceil_log(8, math.factorial(k) // math.factorial(k - n))  # 8 = 2^3
+    return ceil_log(8, math.perm(k, n))  # 8 = 2^3
 
 
 def exact_match_count(n: int, k: int, x: int) -> int:
@@ -186,10 +186,9 @@ def exact_match_count(n: int, k: int, x: int) -> int:
         raise DomainError(f"need k >= n, got n={n}, k={k}")
     if not 0 <= x <= n:
         raise DomainError(f"x must be in [0, {n}], got {x}")
-    fact_kn = math.factorial(k - n)
     total = 0
     for j in range(n - x + 1):
-        term = math.comb(n - x, j) * (math.factorial(k - x - j) // fact_kn)
+        term = math.comb(n - x, j) * math.perm(k - x - j, n - x - j)
         total += -term if j % 2 else term
     return math.comb(n, x) * total
 
@@ -197,7 +196,7 @@ def exact_match_count(n: int, k: int, x: int) -> int:
 def match_distribution(n: int, k: int) -> list[Fraction]:
     """Exact distribution of the black-peg count of a uniform injective code
     against a fixed injective query; entry x is P[black = x]."""
-    total = math.factorial(k) // math.factorial(k - n)
+    total = math.perm(k, n)
     return [Fraction(exact_match_count(n, k, x), total) for x in range(n + 1)]
 
 
@@ -205,7 +204,9 @@ def shannon_entropy(p: list[Fraction]) -> float:
     """Entropy in bits of an exact finite distribution.
 
     The summation is in double precision; with at most a few hundred terms
-    the accumulated error is below 1e-9 bits.
+    the accumulated error is below 1e-9 bits. A probability below the
+    smallest double (1/n! from n = 178) rounds to 0 and is skipped: its
+    term, below 1e-320 bits, would not change the sum.
     """
     total = sum(p, Fraction(0))
     if total != 1:
@@ -214,8 +215,8 @@ def shannon_entropy(p: list[Fraction]) -> float:
         raise DomainError("probabilities must be nonnegative")
     ent = 0.0
     for x in p:
-        if x > 0:
-            fx = float(x)
+        fx = float(x)
+        if fx > 0:
             ent -= fx * math.log2(fx)
     return ent
 
@@ -270,9 +271,7 @@ def bound_report(n: int, k: int, log_base: str = "e") -> BoundReport:
     return BoundReport(
         n=n,
         k=k,
-        space_size_no_repeats=(
-            math.factorial(k) // math.factorial(k - n) if k >= n else None
-        ),
+        space_size_no_repeats=math.perm(k, n) if k >= n else None,
         space_size_repeats=k**n,
         trivial_lb=trivial_lower_bound(n) if k == n else None,
         theorem1=theorem1_report(n, log_base) if (k == n and n >= 4) else None,

@@ -27,9 +27,10 @@ Turn = tuple[Code, Feedback]
 class SolutionSet:
     """Immutable set of code-space indices consistent with a transcript.
 
-    Scoring. minimax_scores alone decides how a set is scored; CodeSpace
-    builds feedback ids (feedback_rows), counts buckets (bucket_maxima)
-    and caches the whole space's scores (full_scores).
+    Scoring. minimax_scores alone decides how a set is scored and alone
+    spreads per-orbit scores; CodeSpace builds feedback ids
+    (feedback_rows), counts buckets (bucket_maxima) and caches the scores
+    of one query per orbit of the whole space (root_summary).
 
     Feedback rows. One rule, decided here alone, says which sets hold rows.
     A set below the whole space that is scored while it holds nothing
@@ -40,9 +41,10 @@ class SolutionSet:
     as long as the last set that views it, and down a tree each code's row
     is computed at most once. Feedback ids are symmetric, so the split by
     query q reads column q of the view. The whole space holds no rows: it
-    reads CodeSpace.full_scores, computed from one row per orbit, and is
-    split by the row of the query played (CodeSpace.query_column), as is
-    every set of a strategy that never scores.
+    reads the root scores, computed once per space from one row per orbit
+    of every symmetry, and is split by the row of the query played
+    (CodeSpace.query_column), as is every set of a strategy that never
+    scores.
 
     Symmetries. The whole space and every set split from it carry the
     symmetries that fix every query played (codespace.Symmetries, computed
@@ -53,7 +55,9 @@ class SolutionSet:
     query of each orbit, from the columns of its view at those queries,
     or without a view from its ids against them alone
     (feedback_rows(indices, reps)), never from |S| whole rows, and spreads
-    the scores over the orbits.
+    the scores over the orbits. A set of every code is scored with the
+    space's own group, whatever group it was built with: its scores over
+    the orbits of that group are the root scores.
 
     Walks. In a walk that scores every child (walk: a sweep or the exact
     solver) a scored set without a view computes its block whatever its
@@ -107,15 +111,17 @@ class SolutionSet:
 
     def minimax_scores(self) -> np.ndarray:
         """Largest response bucket over this set for every query (by
-        index); shape (size,) int64, read-only for the whole space."""
-        space, group = self.space, self.symmetries
-        if len(self) == space.size:
-            return space.full_scores
+        index); shape (size,) int64, read-only for a one-code space."""
+        space = self.space
+        whole = len(self) == space.size
+        group = space.symmetries if whole else self.symmetries
         symmetric = group is not None and not group.trivial  # labels first, out of the block's peak
-        if self.view is None and (self._walk or not symmetric):
+        if not whole and self.view is None and (self._walk or not symmetric):
             self.view = (space.feedback_rows(self.indices), np.arange(len(self)))
         cols = group.reps if symmetric else None
-        if self.view is None:  # only the columns at cols
+        if whole:  # one row per orbit of every symmetry
+            scores = space.root_summary.scores
+        elif self.view is None:  # only the columns at cols
             scores = space.bucket_maxima(space.feedback_rows(self.indices, cols))
         else:
             scores = space.bucket_maxima(*self.view, cols)

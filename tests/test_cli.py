@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -621,6 +622,34 @@ class TestEntropyAudit:
         )
         assert code == 1
 
+    def test_past_the_smallest_double(self, tmp_path, capsys):
+        # P[black = 178] = 1/178! is below the smallest double
+        argv = ["entropy-audit", "--n", "178", "--k", "178", "--repeats", "no"]
+        assert run([*argv, "--out", str(tmp_path)]) == 0
+        assert "H = 1.882489 bits" in capsys.readouterr().out
+
+
+# k!/(k-n)! is a product of n factors: a million colors cost no factorial of
+# a million
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["solve", "--n", "2", "--k", "1000000", "--repeats", "no"], 2),
+        (["bounds", "--n", "3", "--k", "1000000"], 0),
+        (["entropy-audit", "--n", "3", "--k", "1000000", "--repeats", "no"], 0),
+    ],
+    ids=["solve", "bounds", "entropy-audit"],
+)
+def test_large_alphabets_take_no_large_factorial(argv, exit_code, tmp_path, monkeypatch):
+    factorial = math.factorial
+
+    def small(m):
+        assert m <= 1000, f"computed {m}!"
+        return factorial(m)
+
+    monkeypatch.setattr(math, "factorial", small)
+    assert run([*argv, "--out", str(tmp_path)]) == exit_code
+
 
 # sha256 of every artifact: a speedup must leave them byte-identical. Every
 # flag the command reads is explicit because the resolved spec is written
@@ -693,6 +722,27 @@ PINNED_ARTIFACTS = {
     "worst-case --n 5 --k 5 --feedback bw --repeats yes --mode adaptive --strategy minimax --turn-budget 26 --space-budget 3125": {
         "worst_case.csv": "27608ac0e5a9198881135eed363cb1e873c6ab35664cb4cc42e93ec93e8d41e9",
         "worst_case.json": "4cb1d71e986b3370f652aa41edfd4b7588b47f9b3f808aea44d69e65440cb61b",
+    },
+    # the games of play-perm7: every game's first query is scored from
+    # one row per orbit of the whole space
+    "solve --n 7 --k 7 --feedback b --repeats no --mode adaptive --strategy minimax --hidden 3,1,4,7,5,2,6 --seed 0 --turn-budget 50 --space-budget 5040": {
+        "solve.json": "792644e99b9db128e7196d6c10b6314cafdd25677b41d8645a842cca2307cedb",
+    },
+    "solve --n 7 --k 7 --feedback b --repeats no --mode adaptive --strategy minimax --hidden 7,6,5,4,3,2,1 --seed 0 --turn-budget 50 --space-budget 5040": {
+        "solve.json": "67dc30c419926f825bbf5ce8a63031003f1c71b1f5e3f130f4ceaaa1e9328b56",
+    },
+    "adversary-trace --n 7 --k 7 --feedback b --repeats no --mode adaptive --strategy minimax --turn-budget 50 --space-budget 5040": {
+        "adversary_trace.csv": "ad1cef70d9cd878b2488b8b59f2b7c10bff19d74d81469e18aa413be7df84e7c",
+        "adversary_trace.json": "5ad16cf1523b23c2ad2ebe5b83b1836945cb8837cb7d2184029bef1639dfc1c0",
+    },
+    # the (4,6) sweeps of classic-bw by the two strategies that never score
+    "worst-case --n 4 --k 6 --feedback bw --repeats yes --mode adaptive --strategy first-consistent --turn-budget 25 --space-budget 1296": {
+        "worst_case.csv": "fd4aa9cc1efc984ded4b45d647087e036493d7bc7fb3ed805635cdef948d9ea5",
+        "worst_case.json": "b2dbad5d28fd53f7ddeb4cf6e307994caa36605a12bbfaae5e635f80b2972bea",
+    },
+    "worst-case --n 4 --k 6 --feedback bw --repeats yes --mode adaptive --strategy basis --turn-budget 25 --space-budget 1296": {
+        "worst_case.csv": "0177336ffccd1a856e38a28e99ddbfb9d7d21e5f97efdd5671a663f94e1dc0dc",
+        "worst_case.json": "8f9bd835a56b6762a0507e487e4e28b4306d786ba67b05d617e4d3b5c271b5c3",
     },
     "nonadaptive-search --n 2 --k 5 --feedback b --repeats yes --mode nonadaptive --s-cap 8 --space-budget 25": {
         "nonadaptive_search.json": "87ba15ae1ed9b8a429a96a29a262edae4f4ae4283c7abce1fe5abdb5998a2a74",

@@ -338,9 +338,14 @@ class TestFeedbackRows:
         codes = list(space)
         table = [[space.fid_of(feedback(q, x, config)) for x in codes] for q in codes]
         want = [max(np.bincount(column)) for column in zip(*table)]
-        scores = SolutionSet(space, np.arange(space.size)).minimax_scores()
-        assert scores.dtype == np.int64 and scores.tolist() == want
-        assert not scores.flags.writeable
+        # a set of every code is scored with the space's group, built with
+        # it or without; only the per-orbit root scores are shared, read-only
+        assert not space.root_summary.scores.flags.writeable
+        for whole in (SolutionSet.full(space), SolutionSet(space, np.arange(space.size))):
+            scores = whole.minimax_scores()
+            assert scores.dtype == np.int64 and scores.tolist() == want
+            # one code: the group is trivial, the scores are the root's own
+            assert scores.flags.writeable == (space.size > 1)
         assert space.n_realised_fids == len({fid for row in table for fid in row})
 
     @pytest.mark.parametrize("config", [bw_config(3, 3), perm_config(4)])

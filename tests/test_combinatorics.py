@@ -259,6 +259,17 @@ class TestShannonEntropy:
         for n in range(1, 9):
             assert shannon_entropy(match_distribution(n, n)) < 3
 
+    def test_underflowing_probability_adds_nothing(self):
+        # 1/10**400 is below the smallest double
+        tiny = Fraction(1, 10**400)
+        assert shannon_entropy([tiny, 1 - tiny]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_match_entropy_past_the_smallest_double(self):
+        # P[black = n] = 1/n! underflows from n = 178; the entropy is that of n = 177
+        want = shannon_entropy(match_distribution(177, 177))
+        for n in (178, 200):
+            assert shannon_entropy(match_distribution(n, n)) == pytest.approx(want, abs=1e-9)
+
 
 class TestBoundReport:
     def test_n4_k4(self):

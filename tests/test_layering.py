@@ -1,6 +1,7 @@
 """Feedback ids are computed only by CodeSpace (feedback_rows, query_column,
 black_rows), so changing how changes one module; only SolutionSet decides
-which solution sets hold feedback rows and how a set is scored; and the
+which solution sets hold feedback rows and how a set is scored, spreading
+per-orbit scores for the whole space as for any other set; and the
 searches take an enumerated CodeSpace, so only the CLI decides how large a
 space may be."""
 from pathlib import Path
@@ -51,3 +52,10 @@ def test_only_solution_sets_score():
     source = (PACKAGE / "engine.py").read_text()
     assert "bucket_maxima" not in source
     assert "column_max_buckets" not in source
+
+
+def test_only_solution_sets_spread():
+    callers = {path.name for path in PACKAGE.glob("*.py") if ".spread(" in path.read_text()}
+    assert callers == {"strategies.py"}
+    for path in PACKAGE.glob("*.py"):
+        assert "full_scores" not in path.read_text()
