@@ -25,6 +25,7 @@ Code = tuple[int, ...]
 Rows = tuple[np.ndarray, np.ndarray]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
+BLOCK_ROWS = _kernels.BLOCK_ROWS  # most rows bucket_maxima sums in one block
 LABEL_PAIRS = 8  # listed pairs, evenly spaced, that join the orbits of Symmetries
 PAIR_CELLS = 1 << 14  # cells per chunk of candidate pairs in Symmetries.fixing
 

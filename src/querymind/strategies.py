@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codespace import Code, CodeSpace, Feedback, Rows, Symmetries, encode01
+from .codespace import BLOCK_ROWS, Code, CodeSpace, Feedback, Rows, Symmetries, encode01
 from .errors import ContradictionError, DomainError, ProtocolError
 
 Turn = tuple[Code, Feedback]
@@ -48,24 +48,31 @@ class SolutionSet:
 
     Symmetries. The whole space and every set split from it carry the
     symmetries that fix every query played (codespace.Symmetries, computed
-    only if the set is scored), which map the set S onto itself. A
+    only if a set labels its orbits), which map the set S onto itself. A
     symmetry g keeps feedback, so g(q) splits S = g(S) into the images of
     q's buckets, and g(q) and q have the same score: scores are constant
-    on orbits. So a set whose group is not trivial scores only the lowest
-    query of each orbit, from the columns of its view at those queries,
-    or without a view from its ids against them alone
-    (feedback_rows(indices, reps)), never from |S| whole rows, and spreads
-    the scores over the orbits. A set of every code is scored with the
-    space's own group, whatever group it was built with: its scores over
-    the orbits of that group are the root scores.
+    on orbits. So a set that labels the orbits of a non-trivial group
+    scores only the lowest query of each orbit, from the columns of its
+    view at those queries, or without a view from its ids against them
+    alone (feedback_rows(indices, reps)), never from |S| whole rows, and
+    spreads the scores over the orbits. Labels cost a pass over the whole
+    space whatever the set's size, while the columns they save grow with
+    the set; the walk rule below weighs the two. A set of every code is
+    scored with the space's own group, whatever group it was built with:
+    its scores over the orbits of that group are the root scores.
 
     Walks. In a walk that scores every child (walk: a sweep or the exact
     solver) a scored set without a view computes its block whatever its
     group, since every set below it then reads the block instead of making
     a kernel call of its own: a walk holds the blocks of disjoint sets, at
-    most one table. A game follows one child, so there only a set with a
-    trivial group computes a block, and a game's first bucket is scored
-    from one query per orbit instead.
+    most one table. A walk set of at most BLOCK_ROWS codes, the rows the
+    bucket-counting kernel sums in one block, scores every column of its
+    view in one kernel call and never labels its orbits (on a perm-7
+    sweep, labelling every set would take 229 groups instead of 5 to save
+    21.6 M of 69.8 M cells); larger walk sets, the whole space and every
+    set of a game score one query per orbit. A game follows one child, so
+    there only a set with a trivial group computes a block, and a game's
+    first bucket is scored from one query per orbit instead.
 
     Memory. Hence a game, sweep or exact search holds only blocks of rows
     of disjoint sets below the root, viewed without copying, and stays within
@@ -114,7 +121,12 @@ class SolutionSet:
         index); shape (size,) int64, read-only for a one-code space."""
         space = self.space
         whole = len(self) == space.size
-        group = space.symmetries if whole else self.symmetries
+        if whole:
+            group = space.symmetries
+        elif self._walk and len(self) <= BLOCK_ROWS:
+            group = None  # every column in one pass, no labels
+        else:
+            group = self.symmetries
         symmetric = group is not None and not group.trivial  # labels first, out of the block's peak
         if not whole and self.view is None and (self._walk or not symmetric):
             self.view = (space.feedback_rows(self.indices), np.arange(len(self)))
@@ -173,11 +185,14 @@ def minimax_next(s: SolutionSet) -> Code:
     buckets, all but all-black. So a member scoring F has the least score
     and wins every tie: if a set with rows finds members at F in its
     |S| x |S| member block, the lowest-index one is the answer, and no
-    other query is scored.
+    other query is scored. Both members of a two-code set score F = 1, so
+    the lower one is the answer and nothing is scored.
     """
     if len(s) < 2:
         raise DomainError("minimax needs at least 2 remaining candidates")
     space = s.space
+    if len(s) == 2:
+        return space.decode(int(s.indices.min()))
     members = s.member_scores()
     if members is not None:
         floor = -(-(len(s) - 1) // (space.n_realised_fids - 1))

@@ -228,18 +228,26 @@ class RowMeter:
 
 
 def _sweep_cells(config, monkeypatch):
-    """The minimax sweep of config, and every bucket-counting cell it reads."""
-    cells = []
-    counted = _kernels.column_max_buckets
+    """The minimax sweep of config, every bucket-counting cell it reads,
+    its bucket-counting calls, and the groups whose orbits it labels."""
+    cells, labelled = [], []
+    counted, labels = _kernels.column_max_buckets, Symmetries.labels.func
 
     def count(table, rows, n_fids, cols=None):
         n_rows = len(table) if rows is None else len(rows)
         cells.append(n_rows * (table.shape[1] if cols is None else len(cols)))
         return counted(table, rows, n_fids, cols)
 
+    def label(group):
+        labelled.append(None)
+        return labels(group)
+
+    labelling = functools.cached_property(label)
+    labelling.__set_name__(Symmetries, "labels")
     monkeypatch.setattr(_kernels, "column_max_buckets", count)
+    monkeypatch.setattr(Symmetries, "labels", labelling)
     result = worst_case_queries(get_strategy("minimax"), CodeSpace.enumerate(config))
-    return result, sum(cells)
+    return result, sum(cells), len(cells), len(labelled)
 
 
 class TestRowBlocks:
@@ -301,17 +309,27 @@ class TestRowBlocks:
         # every set below the root was scored against all 720 queries,
         # 913_871 with one query per orbit of the groups that generator rows
         # fixing the later queries generated, 645_615 with the orbits of
-        # (a subgroup of) the whole pointwise stabiliser
-        result, cells = _sweep_cells(perm6.config, monkeypatch)
+        # (a subgroup of) the whole pointwise stabiliser, labelling 45
+        # groups; 1_391_685 now that a walk set of at most BLOCK_ROWS codes
+        # scores every column of its block and labels nothing, so only the
+        # whole space's group and that of the first query's buckets of 265
+        # and 264 codes are labelled
+        result, cells, _, labelled = _sweep_cells(perm6.config, monkeypatch)
         assert result.max_queries == 6
-        assert cells <= 645_615
+        assert cells <= 1_391_685
+        assert labelled <= 2
 
     def test_perm7_sweep_reads_fewer_cells(self, monkeypatch):
-        # 70_705_931 cells with the generator rows' orbits
+        # 70_705_931 cells with the generator rows' orbits, 48_193_657 in
+        # 2838 calls labelling 229 groups with every walk set's orbits;
+        # small walk sets now trade cells for labels (69_842_684 cells, 5
+        # groups), and two-code sets are answered unscored (1901 calls)
         meter = RowMeter(monkeypatch, 5040)
-        result, cells = _sweep_cells(perm_config(7), monkeypatch)
+        result, cells, calls, labelled = _sweep_cells(perm_config(7), monkeypatch)
         assert result.max_queries == 7
-        assert cells <= 48_193_657
+        assert cells <= 69_842_684
+        assert calls <= 1901
+        assert labelled <= 5
         # the largest block is the rows of the first query's largest bucket,
         # 1855 x 5040 ids of one byte each (18_698_400 bytes at two)
         assert meter.largest_bytes <= 1855 * 5040

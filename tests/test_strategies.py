@@ -256,29 +256,42 @@ def _space_and_table(cfg):
 
 class TestOrbitScores:
     @pytest.mark.parametrize(
-        "cfg", _SMALL_CONFIGS, ids=lambda c: f"{c.n}-{c.k}-{c.feedback.value}-{c.repeats.value}"
+        "cfg",
+        [*_SMALL_CONFIGS, perm_config(6)],
+        ids=lambda c: f"{c.n}-{c.k}-{c.feedback.value}-{c.repeats.value}",
     )
-    def test_orbit_scores_equal_full_kernel_scores(self, cfg):
+    def test_orbit_scores_equal_full_kernel_scores(self, cfg, monkeypatch):
         # every set a sweep or a game scores, with the symmetries it
         # carries, gets the scores of all its rows against every query
         space, table = _space_and_table(cfg)
-        paths = set()
+        paths, taken = set(), []
+        counted = CodeSpace.bucket_maxima
+
+        def record(space, block, at=None, cols=None):
+            # (from a view, one query per orbit only)
+            taken.append((at is not None, cols is not None or block.shape[1] < space.size))
+            return counted(space, block, at, cols)
+
+        monkeypatch.setattr(CodeSpace, "bucket_maxima", record)
 
         class Checked(MinimaxStrategy):
             def next_query(self, history, s):
-                symmetric = s.symmetries is not None and not s.symmetries.trivial
-                held = s.view is not None
-                paths.add((symmetric, held))
                 want = _kernels.column_max_buckets(table, s.indices, range(space.n_fids))
+                taken.clear()
                 assert s.minimax_scores().tolist() == want.tolist()
+                paths.update(taken)
                 return super().next_query(history, s)
 
         worst_case_queries(Checked(), space)
         play_adversarial(Checked(), space)
         for idx in (0, space.size // 2):
             play_honest(Checked(), space.decode(idx), space)
-        # scored from held rows, and from representative rows of its own
-        assert {(True, True), (True, False)} <= paths
+        # every column of a view, and a game's symmetric sets from their own
+        # ids against one query per orbit; one query per orbit from a view
+        # only for a walk set of more than BLOCK_ROWS codes, which perm-6's
+        # first query leaves (265 derangements) and no smaller space does
+        want = {(True, False), (False, True)}
+        assert paths == (want | {(True, True)} if cfg == perm_config(6) else want)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -296,6 +309,29 @@ class TestOrbitScores:
         members = tied[np.isin(tied, s.indices)]
         want = members[0] if members.size else tied[0]
         assert minimax_next(s) == space.decode(int(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_two_codes_answer_the_lower_unscored(self, data):
+        # both members of a two-code set score 1, the member floor, so the
+        # lower one wins with or without a view and no bucket is counted
+        space, table = _space_and_table(data.draw(st.sampled_from(_SMALL_CONFIGS)))
+        picks = sorted(
+            data.draw(st.lists(st.integers(0, space.size - 1), min_size=2, max_size=2, unique=True))
+        )
+        scores = _kernels.column_max_buckets(table, np.array(picks), range(space.n_fids))
+        assert scores[picks].tolist() == [1, 1]
+
+        def refuse(*args):
+            raise AssertionError("counted buckets")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CodeSpace, "bucket_maxima", refuse)
+            for s in (
+                SolutionSet(space, picks[::-1]),
+                SolutionSet(space, picks, (table, np.array(picks))),
+            ):
+                assert minimax_next(s) == space.decode(picks[0])
 
     def test_member_at_the_floor_skips_scoring(self, perm3, monkeypatch):
         cfg, space = perm3
