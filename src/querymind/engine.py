@@ -200,15 +200,16 @@ def worst_case_queries(
         qi = space.encode(q)
         # a bucket equal to the whole set is allowed (e.g. a basis query that
         # grows the rank without splitting); the turn budget bounds recursion.
-        # Every set below a bucket of the whole space views that bucket's
-        # block (SolutionSet); popping each child before its walk frees a
-        # block once the sets below it are done, so the sweep holds one.
+        # Each set is split once, so the first set on a path that holds rows
+        # computes them and every set below it views that block
+        # (SolutionSet); popping each child before its walk frees a block
+        # once the sets below it are done, so the sweep holds one.
         children = s.split(qi)
         while children:
             r, child = children.pop(0)
             walk(child, turns + [(q, r)], depth + 1, qi)
 
-    walk(SolutionSet.full(space, walk=True), [], 0, -1)
+    walk(SolutionSet.full(space), [], 0, -1)
 
     exhausted = [space.decode(int(i)) for i in np.flatnonzero(per_code < 0)]
     determined = per_code[per_code >= 0]
@@ -323,7 +324,7 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
         failed[key] = depth
         return False
 
-    root = SolutionSet.full(space, walk=True)
+    root = SolutionSet.full(space)
     depth = ceil_log(base, space.size)
     while depth <= cap:
         if within(root, depth):

@@ -32,59 +32,59 @@ class SolutionSet:
     (feedback_rows), counts buckets (bucket_maxima) and caches the scores
     of one query per orbit of the whole space (root_summary).
 
-    Feedback rows. One rule, decided here alone, says which sets hold rows.
-    A set below the whole space that is scored while it holds nothing
-    computes one block, the feedback rows of its codes against every code
-    (CodeSpace.feedback_rows), and holds the view (block, positions of its
-    codes among the block's rows); every set split from a set with a view
-    holds a view of the same block. So nothing copies rows: a block lives
-    as long as the last set that views it, and down a tree each code's row
-    is computed at most once. Feedback ids are symmetric, so the split by
-    query q reads column q of the view. The whole space holds no rows: it
-    reads the root scores, computed once per space from one row per orbit
-    of every symmetry, and is split by the row of the query played
-    (CodeSpace.query_column), as is every set of a strategy that never
-    scores.
+    Feedback rows. One rule, decided here alone, says which sets hold rows,
+    from what a set can see of itself: its size, its group, its view and
+    whether it was split before. A set with a view (block of rows,
+    positions of its codes among the block's rows) scores every column of
+    it, and every set split from it holds a view of the same block. A set
+    below the whole space without a view that has more than BLOCK_ROWS
+    codes, the rows the bucket-counting kernel sums in one block, and a
+    non-trivial group scores one query per orbit from its ids against
+    those queries alone (feedback_rows(indices, reps)) and holds no rows;
+    any other such set computes its block, its codes' rows against every
+    code (CodeSpace.feedback_rows), when it is scored. A set without a view
+    that is split a second time, which only the exact search does, computes
+    its block first, so the children of every later split view it instead
+    of each computing rows. Nothing copies rows: a block lives as long as
+    the last set that views it. Feedback ids are symmetric, so the split
+    by query q reads column q of the view. The whole space holds no rows:
+    it reads the root scores, computed once per space from one row per
+    orbit of every symmetry, and is split by the row of the query played
+    (CodeSpace.query_column), as is every set without a view split for
+    the first time, and every set of a strategy that never scores.
 
     Symmetries. The whole space and every set split from it carry the
     symmetries that fix every query played (codespace.Symmetries, computed
     only if a set labels its orbits), which map the set S onto itself. A
     symmetry g keeps feedback, so g(q) splits S = g(S) into the images of
     q's buckets, and g(q) and q have the same score: scores are constant
-    on orbits. So a set that labels the orbits of a non-trivial group
-    scores only the lowest query of each orbit, from the columns of its
-    view at those queries, or without a view from its ids against them
-    alone (feedback_rows(indices, reps)), never from |S| whole rows, and
-    spreads the scores over the orbits. Labels cost a pass over the whole
-    space whatever the set's size, while the columns they save grow with
-    the set; the walk rule below weighs the two. A set of every code is
-    scored with the space's own group, whatever group it was built with:
-    its scores over the orbits of that group are the root scores.
-
-    Walks. In a walk that scores every child (walk: a sweep or the exact
-    solver) a scored set without a view computes its block whatever its
-    group, since every set below it then reads the block instead of making
-    a kernel call of its own: a walk holds the blocks of disjoint sets, at
-    most one table. A walk set of at most BLOCK_ROWS codes, the rows the
-    bucket-counting kernel sums in one block, scores every column of its
-    view in one kernel call and never labels its orbits (on a perm-7
-    sweep, labelling every set would take 229 groups instead of 5 to save
-    21.6 M of 69.8 M cells); larger walk sets, the whole space and every
-    set of a game score one query per orbit. A game follows one child, so
-    there only a set with a trivial group computes a block, and a game's
-    first bucket is scored from one query per orbit instead.
+    on orbits. So a large set without a view that labels the orbits of a
+    non-trivial group scores only the lowest query of each orbit, never
+    from |S| whole rows, and spreads the scores over the orbits. Labels
+    cost a pass over the whole space whatever the set's size, while the
+    columns they save grow with the set, so a set of at most BLOCK_ROWS
+    codes scores every column in one kernel call and never labels (on a
+    perm-7 sweep, labelling every set took 229 groups instead of 5 to read
+    48.2 M cells instead of 69.8 M). A set of every code is scored with
+    the space's own group, whatever group it was built with: its scores
+    over the orbits of that group are the root scores.
 
     Memory. Hence a game, sweep or exact search holds only blocks of rows
-    of disjoint sets below the root, viewed without copying, and stays within
-    one table (codespace.check_table_memory) beside the rows of single
-    queries that CodeSpace.query_column keeps. A sweep holds the rows of
-    one bucket of the whole space at a time (perm-7: 1855 x 5040 ids,
-    9.3 MB). A game holds one block: each set with symmetries left is
-    scored against one query per orbit, so the block a perm-7 game builds
-    is at most 193 x 5040 ids, not the first bucket's 1855 x 5040.
+    of sets below the root, viewed without copying, and stays within one
+    table (codespace.check_table_memory) beside the rows of single queries
+    that CodeSpace.query_column keeps. A game or a sweep splits each set
+    once, so each code's row is computed at most once down it, and every
+    block it holds is of a set of at most BLOCK_ROWS codes or of one with
+    no symmetry left: on perm-7 the first bucket's 1855 codes are scored
+    from their ids against one query per orbit, and the largest block is
+    240 x 5040 ids, 1.2 MB, not 1855 x 5040, 9.3 MB. In the exact search a
+    code's row can be computed once per large symmetric set above it that
+    is split again, and a set that computes its block to split again holds
+    it beside the blocks of its first split's children until the search
+    drops them.
     """
 
-    __slots__ = ("space", "indices", "view", "symmetries", "_walk")
+    __slots__ = ("space", "indices", "view", "symmetries", "_split")
 
     def __init__(
         self,
@@ -92,18 +92,17 @@ class SolutionSet:
         indices: np.ndarray,
         view: Optional[Rows] = None,
         symmetries: Optional[Symmetries] = None,
-        walk: bool = False,
     ) -> None:
         self.space = space
         self.indices = np.asarray(indices, dtype=np.int64)
         self.view = view  # (block of rows, positions of this set's codes)
         self.symmetries = symmetries
-        self._walk = walk
+        self._split = False  # split once already
 
     @classmethod
-    def full(cls, space: CodeSpace, walk: bool = False) -> "SolutionSet":
-        """The whole space; walk: every set split below it is scored."""
-        return cls(space, np.arange(space.size, dtype=np.int64), None, space.symmetries, walk)
+    def full(cls, space: CodeSpace) -> "SolutionSet":
+        """The whole space."""
+        return cls(space, np.arange(space.size, dtype=np.int64), None, space.symmetries)
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -116,28 +115,24 @@ class SolutionSet:
             raise DomainError(f"solution set has {len(self)} members, not 1")
         return self.space.decode(int(self.indices[0]))
 
+    def _rows(self) -> Rows:
+        """The view, computed as this set's own block if it has none."""
+        if self.view is None:
+            self.view = (self.space.feedback_rows(self.indices), np.arange(len(self)))
+        return self.view
+
     def minimax_scores(self) -> np.ndarray:
         """Largest response bucket over this set for every query (by
         index); shape (size,) int64, read-only for a one-code space."""
         space = self.space
-        whole = len(self) == space.size
-        if whole:
-            group = space.symmetries
-        elif self._walk and len(self) <= BLOCK_ROWS:
-            group = None  # every column in one pass, no labels
+        group = self.symmetries
+        if len(self) == space.size:  # one row per orbit of every symmetry
+            group, scores = space.symmetries, space.root_summary.scores
+        elif self.view is None and len(self) > BLOCK_ROWS and group is not None and not group.trivial:
+            scores = space.bucket_maxima(space.feedback_rows(self.indices, group.reps))
         else:
-            group = self.symmetries
-        symmetric = group is not None and not group.trivial  # labels first, out of the block's peak
-        if not whole and self.view is None and (self._walk or not symmetric):
-            self.view = (space.feedback_rows(self.indices), np.arange(len(self)))
-        cols = group.reps if symmetric else None
-        if whole:  # one row per orbit of every symmetry
-            scores = space.root_summary.scores
-        elif self.view is None:  # only the columns at cols
-            scores = space.bucket_maxima(space.feedback_rows(self.indices, cols))
-        else:
-            scores = space.bucket_maxima(*self.view, cols)
-        return group.spread(scores) if symmetric else scores
+            return space.bucket_maxima(*self._rows())
+        return scores if group.trivial else group.spread(scores)
 
     def member_scores(self) -> Optional[np.ndarray]:
         """Largest response bucket over this set of each of its codes as a
@@ -149,8 +144,12 @@ class SolutionSet:
         """Non-empty response buckets of query index qi, as (response,
         child) pairs in ascending packed-id order; each child keeps the
         order of indices. If this set has a view, children of two or more
-        codes view the same block."""
+        codes view the same block, which a set split a second time
+        computes first if it has none."""
         space = self.space
+        if self._split and len(self) < space.size:
+            self._rows()
+        self._split = True
         if self.view is None:
             column = space.query_column(qi, self.indices)
         else:
@@ -160,7 +159,7 @@ class SolutionSet:
         children = []
         for fb, pos in space.buckets(column):
             view = None if self.view is None or len(pos) < 2 else (block, at[pos])
-            children.append((fb, SolutionSet(space, self.indices[pos], view, group, self._walk)))
+            children.append((fb, SolutionSet(space, self.indices[pos], view, group)))
         return children
 
 

@@ -265,13 +265,13 @@ class TestRowBlocks:
             assert t.solution == perm6.decode(idx)
         assert play_adversarial(get_strategy("minimax"), perm6).outcome == DETERMINED
         # the first bucket, the 265 derangements of 6, is scored from its
-        # ids against one query per conjugacy class, and the 90 codes left
-        # after the adversary's second answer from theirs against one query
-        # per orbit; the largest block is the rows of the 30 codes left
-        # after the third, which have no symmetry left (90 rows when
-        # generator rows gave the second set no symmetry, 265 before orbit
-        # scoring)
-        assert meter.largest == 30
+        # ids against one query per conjugacy class; every later set fits in
+        # one kernel block and builds its rows whatever symmetries it keeps,
+        # so the largest block is the 96 codes an honest game leaves after
+        # its second answer (30 rows when a game scored every set with
+        # symmetries left against one query per orbit, 90 when generator
+        # rows gave the second set no symmetry, 265 before orbit scoring)
+        assert meter.largest == 96
         # the sets below it view that block and copy nothing: beside it only
         # two rows of single queries stay, which CodeSpace.query_column keeps
         assert meter.most_live <= meter.largest + 2
@@ -310,29 +310,34 @@ class TestRowBlocks:
         # 913_871 with one query per orbit of the groups that generator rows
         # fixing the later queries generated, 645_615 with the orbits of
         # (a subgroup of) the whole pointwise stabiliser, labelling 45
-        # groups; 1_391_685 now that a walk set of at most BLOCK_ROWS codes
-        # scores every column of its block and labels nothing, so only the
+        # groups; 1_391_685 once a sweep set of at most BLOCK_ROWS codes
+        # scored every column of its block and labelled nothing, so only the
         # whole space's group and that of the first query's buckets of 265
-        # and 264 codes are labelled
+        # and 264 codes are labelled; 1_350_203 now that those two buckets
+        # are scored from their ids against one query per orbit, not from
+        # columns of their own blocks
         result, cells, _, labelled = _sweep_cells(perm6.config, monkeypatch)
         assert result.max_queries == 6
-        assert cells <= 1_391_685
+        assert cells <= 1_350_203
         assert labelled <= 2
 
     def test_perm7_sweep_reads_fewer_cells(self, monkeypatch):
         # 70_705_931 cells with the generator rows' orbits, 48_193_657 in
         # 2838 calls labelling 229 groups with every walk set's orbits;
-        # small walk sets now trade cells for labels (69_842_684 cells, 5
-        # groups), and two-code sets are answered unscored (1901 calls)
+        # small sets then traded cells for labels (69_842_684 cells, 5
+        # groups) and two-code sets were answered unscored (1901 calls); a
+        # set of more than BLOCK_ROWS codes with symmetries left is now
+        # scored from its ids against one query per orbit, building no
+        # block (66_937_536 cells in 1836 calls, still 5 groups)
         meter = RowMeter(monkeypatch, 5040)
         result, cells, calls, labelled = _sweep_cells(perm_config(7), monkeypatch)
         assert result.max_queries == 7
-        assert cells <= 69_842_684
-        assert calls <= 1901
+        assert cells <= 66_937_536
+        assert calls <= 1836
         assert labelled <= 5
-        # the largest block is the rows of the first query's largest bucket,
-        # 1855 x 5040 ids of one byte each (18_698_400 bytes at two)
-        assert meter.largest_bytes <= 1855 * 5040
+        # the largest block is 240 x 5040 ids of one byte each, not the
+        # first query's largest bucket's 1855 x 5040
+        assert meter.largest_bytes <= 240 * 5040
 
     def test_no_allocation_near_the_table(self, perm6):
         # the old table alone took size**2 int16; a minimax game now peaks
@@ -389,21 +394,27 @@ class TestExactGameValue:
 
     @pytest.mark.parametrize(
         "config, value, calls",
-        [(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY), 5, 10), (perm_config(6), 6, 8)],
+        [(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY), 5, 10), (perm_config(6), 6, 22)],
         ids=["3-4-b", "perm6"],
     )
     def test_solver_rows_within_one_table(self, config, value, calls, monkeypatch):
-        # each bucket of the whole space computes one block when it is
-        # scored and every node below it views that block, so the solver
-        # holds rows of disjoint sets, plus the whole rows of single queries
-        # that CodeSpace.query_column keeps (at most n*k)
+        # a set computes one block when it is scored and holds it, or, if
+        # it is large and keeps symmetries, when it is split a second time,
+        # and every node below it views that block; the solver holds rows
+        # of nested and disjoint sets along its path within one table
+        # (perm-6: 356 rows at most, 720 when every bucket of the whole
+        # space held its block), plus the whole rows of single queries that
+        # CodeSpace.query_column keeps (at most n*k)
         space = CodeSpace.enumerate(config)
         meter = RowMeter(monkeypatch, space.size)
         assert exact_game_value(space) == ExactGameValue(value, False)
         assert meter.most_live <= space.size + config.n * config.k
-        # kernel calls: the root rows, query rows and one block per bucket
-        # of each split of the whole space, not one per node or per
-        # representative set
+        # kernel calls: the root rows, query rows, one block per set scored
+        # without a view (for perm-6's first buckets of 265 and 264 codes,
+        # their ids against one query per orbit instead) and one per large
+        # bucket split a second time: 22 on perm-6, 8 when every bucket of
+        # the whole space computed its block when it was scored; not one
+        # per node or per representative set
         assert meter.calls == calls
 
     def test_memo_over_budget_is_capacity(self, monkeypatch):

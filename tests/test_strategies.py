@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from querymind import _kernels
 from querymind.codespace import (
+    BLOCK_ROWS,
     CodeSpace,
     Feedback,
     FeedbackMode,
     Repeats,
+    Symmetries,
     VariantConfig,
     encode01,
     feedback,
@@ -153,29 +155,75 @@ class TestSolutionSetRows:
         assert s.view is None
         assert all(child.view is None for _, child in children)
 
-    def test_only_a_walk_computes_rows_of_a_symmetric_set(self, monkeypatch):
-        # the buckets of the whole space keep symmetries: a game scores them
-        # from one query per orbit, a walk computes their one block
-        space = CodeSpace.enumerate(perm_config(5))
+    def test_a_large_symmetric_set_holds_rows_once_split_again(self, monkeypatch):
+        # perm-6's first bucket, its 265 derangements, has more codes than
+        # one kernel block sums and symmetries left: it is scored from its
+        # ids against one query per orbit and split once by a query column;
+        # split again (only the exact search does), it computes its block,
+        # which the children of that split and of every later one view
+        space = CodeSpace.enumerate(perm_config(6))
         space.n_realised_fids  # computes the root rows first
-        shapes = []
-        computed = CodeSpace.feedback_rows
+        shapes, columns = [], []
+        computed, column = CodeSpace.feedback_rows, CodeSpace.query_column
 
         def record(space, *args):
             block = computed(space, *args)
             shapes.append(block.shape)
             return block
 
+        def read(space, qi, indices):
+            columns.append(qi)
+            return column(space, qi, indices)
+
         monkeypatch.setattr(CodeSpace, "feedback_rows", record)
-        for walk in (False, True):
-            children = SolutionSet.full(space, walk=walk).split(0)
-            bucket = max((child for _, child in children), key=len)
-            shapes.clear()
-            bucket.minimax_scores()
-            assert (bucket.view is not None) == walk
-            width = space.size if walk else len(bucket.symmetries.reps)
-            assert shapes == [(len(bucket), width)]
-            assert width < space.size or walk
+        monkeypatch.setattr(CodeSpace, "query_column", read)
+        bucket = max((child for _, child in SolutionSet.full(space).split(0)), key=len)
+        assert len(bucket) == 265 > BLOCK_ROWS
+        shapes.clear()
+        columns.clear()
+        bucket.minimax_scores()
+        assert shapes == [(265, len(bucket.symmetries.reps))]
+        assert bucket.view is None
+        bucket.split(1)
+        assert columns == [1] and bucket.view is None
+        shapes.clear()
+        for qi in (2, 3):
+            for _, child in bucket.split(qi):
+                assert len(child) < 2 or child.view[0] is bucket.view[0]
+        assert shapes == [(265, space.size)]
+        assert columns == [1]
+
+    def test_a_small_symmetric_set_builds_its_block_unlabelled(self, monkeypatch):
+        # a game's largest first bucket on perm-5, the 45 codes with one
+        # fixed point, keeps symmetries but fits in one kernel block: it
+        # scores every column of its own block and never labels its orbits
+        space = CodeSpace.enumerate(perm_config(5))
+        table = space.feedback_rows(np.arange(space.size))
+        space.n_realised_fids  # labels the whole space's orbits first
+
+        def first_bucket():
+            return max((child for _, child in SolutionSet.full(space).split(0)), key=len)
+
+        assert not first_bucket().symmetries.trivial
+        bucket = first_bucket()
+        assert len(bucket) == 45
+        shapes, computed = [], CodeSpace.feedback_rows
+
+        def record(space, *args):
+            block = computed(space, *args)
+            shapes.append(block.shape)
+            return block
+
+        def refuse(group):
+            raise AssertionError("labelled orbits")
+
+        monkeypatch.setattr(CodeSpace, "feedback_rows", record)
+        monkeypatch.setattr(Symmetries, "labels", property(refuse))
+        scores = bucket.minimax_scores()
+        assert shapes == [(45, space.size)]
+        assert np.array_equal(_viewed_rows(bucket), table[bucket.indices])
+        want = _kernels.column_max_buckets(table, bucket.indices, range(space.n_fids))
+        assert scores.tolist() == want.tolist()
 
 
 class TestMinimax:
@@ -286,12 +334,12 @@ class TestOrbitScores:
         play_adversarial(Checked(), space)
         for idx in (0, space.size // 2):
             play_honest(Checked(), space.decode(idx), space)
-        # every column of a view, and a game's symmetric sets from their own
-        # ids against one query per orbit; one query per orbit from a view
-        # only for a walk set of more than BLOCK_ROWS codes, which perm-6's
-        # first query leaves (265 derangements) and no smaller space does
-        want = {(True, False), (False, True)}
-        assert paths == (want | {(True, True)} if cfg == perm_config(6) else want)
+        # every column of a view, and a set of more than BLOCK_ROWS codes
+        # with symmetries left from its own ids against one query per orbit,
+        # which perm-6's first query leaves (265 derangements) and no
+        # smaller space does; nothing scores one query per orbit from a view
+        want = {(True, False)}
+        assert paths == (want | {(False, True)} if cfg == perm_config(6) else want)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
