@@ -375,12 +375,8 @@ def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
 
 def _cmd_entropy_audit(args: argparse.Namespace, out: Path) -> int:
     config = _config_from(args)
-    if args.query:
-        query = parse_code(args.query)
-    elif config.repeats is Repeats.FORBIDDEN:
-        query = tuple(range(1, config.n + 1))  # lex-first code
-    else:
-        query = (1,) * config.n
+    # the audit rejects repeats-allowed configs, so 1..n is the lex-first code
+    query = parse_code(args.query) if args.query else tuple(range(1, config.n + 1))
     value = nonadaptive.entropy_audit(config, query)
     body = {"query": format_code(query), "entropy_bits": value, "below_constant_3": value < 3}
     _write_result(out, "entropy_audit", args, "result", body)

@@ -476,7 +476,6 @@ class CodeSpace:
     config: VariantConfig
     codes: np.ndarray  # (size, n) int16, lexicographic rows
     _query_rows: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _asked: set[int] = field(default_factory=set, repr=False)
 
     @classmethod
     def enumerate(
@@ -643,17 +642,15 @@ class CodeSpace:
         (len(indices),), the dtype of feedback_rows. Sets without rows split
         by these.
 
-        The first ask of qi over part of the space computes only those ids.
-        From its second ask, or over the whole space, qi's whole row is
-        computed and kept for the last n*k such queries: basis plays each of
-        its at most n(k-1) + 1 queries at many nodes, first-consistent each
-        of its queries at one.
+        qi's whole row is computed at its first ask and kept for the last
+        n*k queries asked: basis plays each of its at most n(k-1) + 1
+        queries at many nodes, so its rows stay kept. The kept rows, at
+        most n*k ids per code, take fewer bytes than the kernel's features
+        of every code (n*k or 2*n*k float32 per code), which the space
+        holds from its first row on.
         """
         row = self._query_rows.get(qi)
         if row is None:
-            if len(indices) < self.size and qi not in self._asked:
-                self._asked.add(qi)
-                return self.feedback_rows([qi], indices)[0]
             if len(self._query_rows) >= self.config.n * self.config.k:
                 del self._query_rows[next(iter(self._query_rows))]
             row = self._query_rows[qi] = self.feedback_rows([qi])[0]

@@ -83,8 +83,8 @@ def _play(
     response to q and the solution set left after it."""
     config = space.config
     budget = default_turn_budget(config) if turn_budget is None else turn_budget
-    if budget < 1:
-        raise DomainError(f"turn budget must be >= 1, got {budget}")
+    if budget < 0:
+        raise DomainError(f"turn budget must be >= 0, got {budget}")
     s = SolutionSet.full(space)
     turns: list[Turn] = []
     sizes = [len(s)]
@@ -280,9 +280,11 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     One memo, failed[S] = the largest d at which S is known to fail. A
     strategy within d - 1 queries is also within d, so failure at d implies
     failure at every smaller depth, and a recorded d >= the asked depth
-    answers False. Pruning does not change within(S, d), so neither does
-    the H a node was reached with. Past a share of physical memory
-    (MemoMeter), the search stops with a capacity error.
+    answers False. A query that splits S as an earlier query did is tried
+    again: the buckets ahead of the one that failed are searched again, and
+    the memo answers that one. Pruning does not change within(S, d), so
+    neither does the H a node was reached with. Past a share of physical
+    memory (MemoMeter), the search stops with a capacity error.
     """
     cap = default_turn_budget(space.config) if depth_cap is None else depth_cap
     if cap < 0:
@@ -300,7 +302,6 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
             return False
         scores = s.minimax_scores()
         labels = s.symmetries.labels
-        seen_partitions: set[tuple[bytes, ...]] = set()
         for qi in np.argsort(scores, kind="stable").tolist():
             score = int(scores[qi])
             if score == size or ceil_log(base, score) > depth - 1:
@@ -308,11 +309,6 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
             if labels is not None and labels[qi] != qi:
                 continue  # a symmetry of S maps qi to a lower query
             buckets = [child for _, child in s.split(qi)]
-            # one entry per bucket keeps the boundaries: [1,2],[3] != [1],[2,3]
-            sig = tuple(bucket.indices.tobytes() for bucket in buckets)
-            if sig in seen_partitions:
-                continue  # identical partition already tried
-            seen_partitions.add(sig)
             # biggest bucket first fails fastest
             if all(
                 within(b, depth - 1)

@@ -350,8 +350,6 @@ class TestFeedbackRows:
 
     @pytest.mark.parametrize("config", [bw_config(3, 3), perm_config(4)])
     def test_query_column_is_the_row_over_indices(self, config):
-        # the first ask below the root computes only the ids over indices,
-        # the second the whole row, which is kept for at most n*k queries
         space = CodeSpace.enumerate(config)
         table = space.feedback_rows(np.arange(space.size))
         # one byte per id, as the largest id (n black pegs) is below 256
@@ -363,7 +361,7 @@ class TestFeedbackRows:
                 column = space.query_column(qi, indices)
                 assert column.dtype == table.dtype == np.uint8
                 assert column.tolist() == table[qi, indices].tolist()
-            assert qi in space._query_rows
+                assert qi in space._query_rows
             assert len(space._query_rows) <= config.n * config.k
         assert space.query_column(0, np.arange(space.size)).tolist() == table[0].tolist()
 

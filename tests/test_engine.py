@@ -78,6 +78,18 @@ class TestPlayHonest:
         assert t.outcome == EXHAUSTED
         assert t.solution is None
 
+    def test_zero_budget_plays_no_turn(self, perm3):
+        # the same budget domain as worst_case_queries: 0 plays nothing
+        t = play_honest(get_strategy("minimax"), (3, 1, 2), perm3, turn_budget=0)
+        assert (t.outcome, t.turns, t.solution, t.sizes) == (EXHAUSTED, (), None, (6,))
+        t = play_adversarial(get_strategy("minimax"), perm3, turn_budget=0)
+        assert (t.outcome, t.turns, t.sizes) == (EXHAUSTED, (), (6,))
+        one = CodeSpace.enumerate(VariantConfig(1, 1))
+        t = play_honest(get_strategy("minimax"), (1,), one, turn_budget=0)
+        assert (t.outcome, t.solution, t.sizes) == (DETERMINED, (1,), (1,))
+        with pytest.raises(DomainError, match="turn budget must be >= 0"):
+            play_honest(get_strategy("minimax"), (3, 1, 2), perm3, turn_budget=-1)
+
     def test_invalid_hidden_code(self, perm3):
         space = perm3
         with pytest.raises(Exception):
@@ -394,7 +406,7 @@ class TestExactGameValue:
 
     @pytest.mark.parametrize(
         "config, value, calls",
-        [(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY), 5, 10), (perm_config(6), 6, 22)],
+        [(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY), 5, 10), (perm_config(6), 6, 21)],
         ids=["3-4-b", "perm6"],
     )
     def test_solver_rows_within_one_table(self, config, value, calls, monkeypatch):
@@ -412,10 +424,24 @@ class TestExactGameValue:
         # kernel calls: the root rows, query rows, one block per set scored
         # without a view (for perm-6's first buckets of 265 and 264 codes,
         # their ids against one query per orbit instead) and one per large
-        # bucket split a second time: 22 on perm-6, 8 when every bucket of
-        # the whole space computed its block when it was scored; not one
-        # per node or per representative set
+        # bucket split a second time: 21 on perm-6, as a query's second ask
+        # no longer computes its row again (8 when every bucket of the whole
+        # space computed its block when it was scored); not one per node or
+        # per representative set
         assert meter.calls == calls
+
+    @pytest.mark.parametrize(
+        "n, k, value",
+        [(4, 4, 5), (5, 4, 6)],
+        ids=["4-4", "5-4"],
+    )
+    def test_repeated_partition_values(self, n, k, value):
+        # black-peg spaces with repeats, where many queries split a set as
+        # an earlier query did (on (5,4), 5203 of 6869 tries); each such
+        # query is searched again and the memo answers its failing bucket,
+        # so the values stay those of a search that skipped it
+        space = CodeSpace.enumerate(VariantConfig(n, k, feedback=FeedbackMode.BLACK_ONLY))
+        assert exact_game_value(space) == ExactGameValue(value, False)
 
     def test_memo_over_budget_is_capacity(self, monkeypatch):
         # perm-4 fails at depth 3 before it passes at 4, so it stores a set
