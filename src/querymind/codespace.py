@@ -261,6 +261,56 @@ def orbit_labels(gens: np.ndarray) -> np.ndarray:
             return labels
 
 
+def hamming_labels(space: "CodeSpace", played: Sequence[int]) -> Optional[np.ndarray]:
+    """Lowest index of each code's orbit under the symmetries of the
+    Hamming graph H(n, k) that fix the codes at indices played, on a space
+    with repeats; shape (size,), None if every orbit is one code.
+
+    A symmetry g(x)[i] = tau_i(x[sigma(i)]) relabels the colors of each
+    position on its own, so it keeps black pegs and the space. It fixes the
+    queries q_1..q_m iff sigma maps each position onto one whose column
+    (q_1[i], ..., q_m[i]) has the same pattern of equal entries, and each
+    tau_i then sends the colors of the column of sigma(i) onto those of
+    column i, entry by entry, and is free on the rest. With x's key at i
+    the first j with q_j[i] = x[i] (m if there is none), g(x) has at i the
+    key of x at sigma(i). So the orbits are the codes whose keys, sorted
+    within each class of positions with one pattern, are equal: sigma
+    matches the keys and tau_i the colors, as colors of key m are those
+    outside column i. Keys are grouped with one stable np.lexsort, which
+    puts the lowest index of each orbit first and never packs keys into an
+    int that could wrap.
+    """
+    config = space.config
+    n, m = config.n, len(played)
+    if space.size == 1:
+        return None
+    if m == 0:  # one orbit: every code is some g(0)
+        return np.zeros(space.size, dtype=np.int64)
+    queries = space.codes[list(played)]
+    dtype = np.int16 if n * (m + 1) < 2**15 else np.int32  # fits keys and class offsets
+    first = np.full((n, config.k + 1), m, dtype=dtype)  # key of each color at i
+    for j in range(m - 1, -1, -1):
+        first[np.arange(n), queries[j]] = j
+    patterns = first[np.arange(n)[:, None], queries.T]  # (n, m)
+    numbers: dict[bytes, int] = {}
+    classes = np.array([numbers.setdefault(p.tobytes(), len(numbers)) for p in patterns])
+    outside = config.k - (first[:, 1:] < m).sum(axis=1)  # colors of key m at i
+    if len(numbers) == n and (outside <= 1).all():
+        return None
+    keys = first[np.arange(n), space.codes]
+    if len(numbers) < n:  # sort within classes, kept apart by class offsets
+        cols = np.argsort(classes, kind="stable")
+        keys = keys[:, cols] + (classes[cols] * (m + 1)).astype(dtype)
+        keys.sort(axis=1)
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    starts = np.ones(space.size, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    labels = np.empty(space.size, dtype=np.int64)
+    labels[order] = order[starts][np.cumsum(starts) - 1]
+    return labels
+
+
 class _Group(NamedTuple):
     """The symmetries that fix every query played, as Symmetries holds them."""
 
@@ -366,12 +416,25 @@ class Symmetries:
     evenly spaced. The orbits of any group of symmetries of S keep
     minimax scores exact and exact_game_value's skips sound, so the choice
     of pairs moves only speed, never a result.
+
+    Which group each config gets:
+    - black pegs with repeats: every symmetry of the Hamming graph H(n, k)
+      that fixes the queries, g(x)[i] = tau_i(x[sigma(i)]) with one color
+      relabeling per position, k!^n * n! of them before any query. Their
+      orbits have a closed form (hamming_labels), so no list is built;
+    - without repeats, the whole space: one orbit, labelled with no pass
+      over the codes;
+    - every other case: the (sigma, tau) group above.
     """
 
     def __init__(self, space: "CodeSpace", parent: Optional["Symmetries"] = None, qi: int = 0):
+        config = space.config
         self._space = space
-        self._parent = parent
         self._qi = qi
+        self._played: tuple[int, ...] = () if parent is None else (*parent._played, qi)
+        # the closed form reads only the queries played, so it keeps no parents
+        self._hamming = config.repeats is Repeats.ALLOWED and config.feedback is FeedbackMode.BLACK_ONLY
+        self._parent = None if self._hamming else parent
 
     def fixing(self, qi: int) -> "Symmetries":
         """The symmetries of the children of a split by query qi."""
@@ -379,8 +442,10 @@ class Symmetries:
 
     @functools.cached_property
     def _group(self) -> _Group:
+        """The (sigma, tau) group, refined from the parent's; black pegs
+        with repeats keep no parent and never build it below the root."""
         space = self._space
-        if self._parent is None:
+        if not self._played:
             n, k = space.config.n, space.config.k
             return _Group(
                 np.zeros(n, dtype=np.intp),
@@ -397,15 +462,21 @@ class Symmetries:
         """Lowest code of each code's orbit, shape (size,); None if the
         group is trivial.
 
-        Sorting a code within each class gives the lowest code of its
-        orbit under the class permutations. The other generators map those
-        orbits onto each other, so orbit_labels joins them through their
-        lowest codes."""
+        For the (sigma, tau) group, sorting a code within each class gives
+        the lowest code of its orbit under the class permutations. The
+        other generators map those orbits onto each other, so orbit_labels
+        joins them through their lowest codes."""
+        space = self._space
+        config = space.config
+        if self._hamming:
+            return hamming_labels(space, self._played)
+        if not self._played and config.repeats is Repeats.FORBIDDEN:
+            # one orbit: a color relabeling sends any code to any other
+            return None if space.size == 1 else np.zeros(space.size, dtype=np.int64)
         group = self._group
         if group.bare:
             return None
-        space = self._space
-        n, width = space.config.n, len(group.free)
+        n, width = config.n, len(group.free)
         cols = np.flatnonzero(np.bincount(group.classes)[group.classes] > 1)
         cols = cols[np.argsort(group.classes[cols], kind="stable")]
         dtype = np.int32 if space.size * n * width < 2**31 else np.int64
@@ -561,10 +632,11 @@ class CodeSpace:
 
     @functools.cached_property
     def symmetries(self) -> Symmetries:
-        """Every symmetry of the space, those of no query played. The lowest
-        code of each orbit has one color-count pattern: 1111, 1112, 1122,
-        1123 and 1234 on (4,6), as in Knuth's "The computer as Master
-        Mind" (1977)."""
+        """Every symmetry of the space, those of no query played. With
+        black and white pegs and repeats the lowest code of each orbit has
+        one color-count pattern: 1111, 1112, 1122, 1123 and 1234 on (4,6),
+        as in Knuth's "The computer as Master Mind" (1977); every other
+        space is one orbit."""
         return Symmetries(self)
 
     @functools.cached_property

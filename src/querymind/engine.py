@@ -265,9 +265,11 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     ceil_log(b, score): scores only ascend, so no later query passes.
 
     Symmetry pruning. A symmetry g (a position permutation with a color
-    relabeling) preserves feedback, so it maps a strategy for S to one for
-    g(S). Each set S carries a group H of the symmetries that fix every
-    query played on the way to it (SolutionSet.symmetries); they fix every
+    relabeling, or, for black pegs with repeats, with one color relabeling
+    per position: codespace.Symmetries) preserves feedback, so it maps a
+    strategy for S to one for g(S). Each set S carries a group H of the
+    symmetries that fix every query played on the way to it
+    (SolutionSet.symmetries); they fix every
     response bucket along the way too, so g(S) = S for each g in H. If
     query q passes at S then so does g(q): g maps q's buckets onto g(q)'s
     and each bucket onto a bucket with the same within. Hence the loop
@@ -275,7 +277,8 @@ def exact_game_value(space: CodeSpace, depth_cap: Optional[int] = None) -> Exact
     (Symmetries.labels): the lowest code of a passing query's orbit passes
     too, and it comes before the stop above because g(q) and q have equal
     scores. At the root H holds every symmetry, so only one query per
-    color-count pattern is tried.
+    color-count pattern is tried; for black pegs with repeats, and without
+    repeats, every code is in one orbit, so the root tries code 0 alone.
 
     One memo, failed[S] = the largest d at which S is known to fail. A
     strategy within d - 1 queries is also within d, so failure at d implies

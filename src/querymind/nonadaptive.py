@@ -1,8 +1,10 @@
 """Non-adaptive query sets: identifiability, minimal-set search, entropy audit.
 
-Response vectors here are black-peg counts only, matching the scope of the
-no-repeats non-adaptive lower bound; the with-repeats analogue and white-peg
-analysis are out of scope.
+Response vectors here are black-peg counts only, in either feedback mode and
+with or without repeats: a query set that identifies every code from black
+pegs is a resolving set of the Hamming graph when repeats are allowed.
+White-peg analysis is out of scope, and the entropy audit and lower bound
+cover the no-repeats non-adaptive lower bound only.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .codespace import (
     Repeats,
     VariantConfig,
     format_code,
+    hamming_labels,
     parse_code,
     validate_code,
 )
@@ -160,7 +163,7 @@ def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
     The walk is depth-first: each node refines its prefix's response
     classes by one query, so a leaf costs one bincount.
 
-    Two prunes keep the witness the first identifiable set of its size in
+    Three prunes keep the witness the first identifiable set of its size in
     the order of itertools.combinations:
     - The first query is index 0. A symmetry g of the space that preserves
       black pegs maps an identifiable set onto an identifiable set, and
@@ -169,6 +172,15 @@ def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
       each position may relabel its colors on its own. So if some s-set is
       identifiable, some s-set holding index 0 is, and the sets holding 0
       come first among the s-sets.
+    - With repeats, at every level a candidate is tried only if it is the
+      lowest code of its orbit under the symmetries of the Hamming graph
+      that fix the queries chosen so far (codespace.hamming_labels). Let
+      W = (w_0 < w_1 < ...) be the first identifiable s-set. If some g
+      fixing w_0..w_{j-1} sent w_j lower, g(W) would be identifiable and
+      hold w_0..w_{j-1} and g(w_j) < w_j, while W holds nothing else below
+      w_j; so the least code where g(W) and W differ is in g(W), and g(W)
+      would come before W. Hence every w_j passes, and the walk, which
+      meets the sets it does not skip in order, still returns W.
     - A node returns as soon as its largest class has more than
       (n+1)**left codes: each query left splits a class into at most n + 1
       black-peg counts.
@@ -180,6 +192,14 @@ def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
         return MinSizeResult(0, False, QuerySet(config, ()))
     rows = space.black_rows(np.arange(space.size))
     n, size = config.n, space.size
+    hamming = config.repeats is Repeats.ALLOWED
+
+    def candidates(chosen: list[int], stop: int) -> list[int]:
+        """Indices past chosen[-1] and below stop; with repeats, only the
+        lowest code of each orbit of the symmetries that fix chosen."""
+        tried = np.arange(chosen[-1] + 1, stop)
+        orbits = hamming_labels(space, chosen) if hamming else None
+        return (tried if orbits is None else tried[orbits[tried] == tried]).tolist()
 
     def walk(chosen: list[int], labels: np.ndarray, left: int) -> Optional[list[int]]:
         """First identifiable extension of chosen by left queries of higher
@@ -189,14 +209,13 @@ def min_nonadaptive_size(space: CodeSpace, s_cap: int) -> MinSizeResult:
             return None
         if left == 0:
             return chosen
-        start = chosen[-1] + 1
         if left == 1:
             keys = labels * (n + 1)
-            for qi in range(start, size):
+            for qi in candidates(chosen, size):
                 if np.bincount(keys + rows[qi]).max() == 1:
                     return [*chosen, qi]
             return None
-        for qi in range(start, size - left + 1):
+        for qi in candidates(chosen, size - left + 1):
             found = walk([*chosen, qi], _refine(labels, rows[qi], n), left - 1)
             if found is not None:
                 return found

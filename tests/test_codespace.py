@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -173,6 +174,35 @@ def _group_table(config):
     return np.concatenate(rows)
 
 
+def _hamming_fixing(space, qi):
+    """Every symmetry g(x)[i] = tau_i(x[sigma(i)]) of the Hamming graph,
+    in (S_k)^n x| S_n, that fixes the code at qi, as an index permutation
+    of the space (row g maps code x to g[x]), by brute force: g fixes q iff
+    tau_i(q[sigma(i)]) = q[i] at every position i, so each sigma, built
+    one position at a time, takes every product of the tau_i that fix
+    their own position."""
+    n, k = space.config.n, space.config.k
+    taus = np.array([(0, *p) for p in itertools.permutations(range(1, k + 1))])
+    q = space.codes[qi]
+    digits = {
+        (s, i): (taus[taus[:, q[s]] == q[i]][:, space.codes[:, s]] - 1) * k ** (n - 1 - i)
+        for s in range(n)
+        for i in range(n)
+    }
+    rows = []
+
+    def extend(ranks, left):
+        i = n - len(left)
+        if i == n:
+            rows.append(ranks)
+        for s in left:
+            grown = ranks[:, None, :] + digits[s, i][None, :, :]
+            extend(grown.reshape(-1, space.size), [t for t in left if t != s])
+
+    extend(np.zeros((1, space.size), dtype=np.int64), list(range(n)))
+    return np.concatenate(rows)
+
+
 def _stabiliser_orbits(table, queries):
     """Lowest code of each orbit of the symmetries in table that fix every
     query: they form a group, so the orbit of x is {g[x]}."""
@@ -272,8 +302,10 @@ class TestSymmetry:
         "config", list(_small_configs()), ids=lambda c: f"{c.n}-{c.k}-{c.repeats.value}"
     )
     def test_small_spaces_label_every_stabiliser_orbit(self, config, monkeypatch):
-        # every sequence of one or two queries; the group never reads the
-        # feedback mode, so the black-only space gives the same groups
+        # every sequence of one or two queries; the (sigma, tau) group never
+        # reads the feedback mode, so the black-only space without repeats
+        # gives the same groups, while black pegs with repeats get every
+        # symmetry of the Hamming graph, found by brute force
         monkeypatch.setattr(codespace, "LABEL_PAIRS", config.space_size)
         space = CodeSpace.enumerate(config)
         black = CodeSpace.enumerate(dataclasses.replace(config, feedback=FeedbackMode.BLACK_ONLY))
@@ -282,12 +314,48 @@ class TestSymmetry:
             first = Symmetries(space).fixing(qi)
             fixing = table[table[:, qi] == qi]
             assert _labels(first, space.size).tolist() == fixing.min(axis=0).tolist()
-            assert _labels(Symmetries(black).fixing(qi), space.size).tolist() == (
-                fixing.min(axis=0).tolist()
-            )
             for qj in range(space.size):
                 want = fixing[fixing[:, qj] == qj].min(axis=0)
                 assert _labels(first.fixing(qj), space.size).tolist() == want.tolist()
+            first = Symmetries(black).fixing(qi)
+            if config.repeats is Repeats.FORBIDDEN:
+                assert _labels(first, space.size).tolist() == fixing.min(axis=0).tolist()
+                continue
+            fixing = _hamming_fixing(black, qi)
+            assert _labels(first, space.size).tolist() == fixing.min(axis=0).tolist()
+            for qj in range(space.size):
+                want = fixing[fixing[:, qj] == qj].min(axis=0)
+                assert _labels(first.fixing(qj), space.size).tolist() == want.tolist()
+
+    def test_hamming_keys_are_ranked_exactly_on_long_codes(self):
+        # (16,2) black pegs after 16 queries whose columns repeat within
+        # kinds of positions; kind 4 is kind 1 with its colors swapped, so
+        # both share one pattern of equal entries and one class, and kind 5
+        # is constant, so color 2 there has key 16. The keys, 17 values at
+        # each of 16 positions, are grouped by a dict of Python tuples, with
+        # no packing into one integer
+        space = CodeSpace.enumerate(VariantConfig(16, 2, feedback=FeedbackMode.BLACK_ONLY))
+        rng = np.random.default_rng(23)
+        kinds = [0, 0, 0, 1, 1, 1, 1, 2, 2, 3, 4, 4, 5, 5, 5, 5]
+        columns = rng.integers(1, 3, size=(6, 16))
+        columns[4] = 3 - columns[1]
+        columns[5] = 1
+        queries = columns[kinds].T
+        group = Symmetries(space)
+        for q in queries:
+            group = group.fixing(space.encode(tuple(q.tolist())))
+        cols = queries.T.tolist()
+        keys = [{c: col.index(c) if c in col else 16 for c in (1, 2)} for col in cols]
+        patterns = [tuple(col.index(c) for c in col) for col in cols]
+        classes = [[i for i, p in enumerate(patterns) if p == kind] for kind in set(patterns)]
+        assert len(classes) == 5
+        lowest: dict = {}
+        want = []
+        for index, code in enumerate(space.codes.tolist()):
+            key = tuple(tuple(sorted(keys[i][code[i]] for i in cls)) for cls in classes)
+            want.append(lowest.setdefault(key, index))
+        assert len(lowest) < space.size
+        assert group.labels.tolist() == want
 
     @pytest.mark.parametrize("shift", [1, -1])
     def test_orbit_labels_of_one_long_cycle(self, shift):
@@ -295,6 +363,38 @@ class TestSymmetry:
         cycle = np.roll(np.arange(10_000), shift)[None, :]
         assert (orbit_labels(cycle) == 0).all()
         assert orbit_labels(np.empty((0, 3), dtype=np.int32)).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "config",
+        [perm_config(7), VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY)],
+        ids=["perm7", "3-4-b"],
+    )
+    def test_one_orbit_spaces_label_without_ranking(self, config, monkeypatch):
+        # the whole space without repeats, and with black pegs and repeats,
+        # is one orbit, labelled with no rank of any code; black pegs with
+        # repeats label every group below it with no (sigma, tau) list
+        def refuse(*args):
+            raise AssertionError("ranked codes or built a (sigma, tau) list")
+
+        space = CodeSpace.enumerate(config)
+        monkeypatch.setattr(CodeSpace, "rank", refuse)
+        assert (space.symmetries.labels == 0).all() and space.symmetries.reps.tolist() == [0]
+        if config.repeats is Repeats.ALLOWED:
+            monkeypatch.setattr(codespace, "_fix", refuse)
+            monkeypatch.setattr(codespace, "orbit_labels", refuse)
+            # after 111 and 444, one class of three positions with column
+            # (1, 4): an orbit per multiset of 1, 4 and another color; a
+            # group holds the queries played, not the group above it, so a
+            # game's old groups and their labels are freed
+            first = space.symmetries.fixing(0)
+            above = weakref.ref(first)
+            group = first.fixing(space.size - 1)
+            del first
+            assert above() is None
+            assert [space.decode(int(r)) for r in group.reps] == [
+                (1, 1, 1), (1, 1, 2), (1, 1, 4), (1, 2, 2), (1, 2, 4),
+                (1, 4, 4), (2, 2, 2), (2, 2, 4), (2, 4, 4), (4, 4, 4),
+            ]
 
     def test_unused_colors_are_free(self):
         # (1, 13): the 12 colors that 1 does not use are permuted freely,
@@ -311,7 +411,8 @@ class TestSymmetry:
         # so the list holds one pair; 13 orbits, one per count of color 2
         space = CodeSpace.enumerate(VariantConfig(12, 2, feedback=feedback))
         group = Symmetries(space).fixing(0)
-        assert len(group._group.tau) == 1
+        if feedback is FeedbackMode.BLACK_WHITE:  # black pegs label in closed form, with no list
+            assert len(group._group.tau) == 1
         twos = (space.codes == 2).sum(axis=1)
         assert group.reps.tolist() == [int(np.flatnonzero(twos == t)[0]) for t in range(13)]
         assert np.array_equal(twos[group.labels], twos)

@@ -406,7 +406,7 @@ class TestExactGameValue:
 
     @pytest.mark.parametrize(
         "config, value, calls",
-        [(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY), 5, 10), (perm_config(6), 6, 21)],
+        [(VariantConfig(3, 4, feedback=FeedbackMode.BLACK_ONLY), 5, 6), (perm_config(6), 6, 21)],
         ids=["3-4-b", "perm6"],
     )
     def test_solver_rows_within_one_table(self, config, value, calls, monkeypatch):
@@ -427,7 +427,11 @@ class TestExactGameValue:
         # bucket split a second time: 21 on perm-6, as a query's second ask
         # no longer computes its row again (8 when every bucket of the whole
         # space computed its block when it was scored); not one per node or
-        # per representative set
+        # per representative set. On (3,4) b the symmetries of the Hamming
+        # graph leave the root one orbit: one root row (code 0's, where each
+        # of 3 color-count patterns had one), one query row (code 0's, where
+        # 3 root queries were tried), the block of its 27-code bucket at
+        # each of depths 3, 4 and 5, and one 9-code block: 6, where it was 10
         assert meter.calls == calls
 
     @pytest.mark.parametrize(
@@ -440,6 +444,14 @@ class TestExactGameValue:
         # an earlier query did (on (5,4), 5203 of 6869 tries); each such
         # query is searched again and the memo answers its failing bucket,
         # so the values stay those of a search that skipped it
+        space = CodeSpace.enumerate(VariantConfig(n, k, feedback=FeedbackMode.BLACK_ONLY))
+        assert exact_game_value(space) == ExactGameValue(value, False)
+
+    @pytest.mark.parametrize("n, k, value", [(4, 5, 7), (4, 6, 8)], ids=["4-5", "4-6"])
+    def test_hamming_symmetries_reach(self, n, k, value):
+        # black pegs with repeats, pruned by the symmetries of the Hamming
+        # graph that fix the queries played: the root tries code 0 alone;
+        # the minimax sweeps bound these from above at 8 and 9
         space = CodeSpace.enumerate(VariantConfig(n, k, feedback=FeedbackMode.BLACK_ONLY))
         assert exact_game_value(space) == ExactGameValue(value, False)
 

@@ -127,7 +127,9 @@ class TestMinSize:
 
     # With black pegs and repeats allowed an identifiable set is a resolving
     # set of the Hamming graph H(n, k); n = 2 follows floor(2(2k-1)/3)
-    # (Caceres et al., SIAM J. Discrete Math. 2007).
+    # (Caceres et al., SIAM J. Discrete Math. 2007), and k = 2 gives the
+    # metric dimension of the hypercube (OEIS A303735). The witnesses of
+    # (2,7), H(6,2) and H(7,2) are those of the search before its orbit prune.
     @pytest.mark.parametrize(
         "n, k, size, witness",
         [
@@ -139,6 +141,10 @@ class TestMinSize:
             (3, 2, 3, None),
             (4, 2, 4, None),
             (5, 2, 4, "1,1,1,1,1 1,1,1,2,2 1,1,2,1,2 1,2,1,1,2"),
+            (2, 7, 8, "1,1 1,2 2,3 2,4 3,5 4,5 5,6 6,6"),
+            (6, 2, 5, "1,1,1,1,1,1 1,1,1,1,1,2 1,1,1,2,2,1 1,1,2,1,2,1 1,2,1,1,2,1"),
+            (7, 2, 6, "1,1,1,1,1,1,1 1,1,1,1,1,1,2 1,1,1,1,1,2,1 1,1,1,2,2,1,1 "
+                      "1,1,2,1,2,1,1 1,2,1,1,2,1,1"),
         ],
     )
     def test_hamming_graph_metric_dimension(self, n, k, size, witness):
