@@ -10,6 +10,13 @@ turn budget left undetermined. Nothing reports progress. Exit codes: 0
 success, 1 validation error, 2 capacity error, 3 invariant violation during
 the run.
 
+A process loads only the layers its command runs. This module imports
+codespace (and numpy with it) and errors; solve, worst-case, exact-value
+and adversary-trace load engine and strategies; nonadaptive-search loads
+nonadaptive; entropy-audit, and a --queries-file check of a
+repeats-forbidden space, load nonadaptive and combinatorics; bounds loads
+combinatorics. run builds the flags of the command it was asked for only.
+
 Identical argument vectors produce byte-identical artifacts.
 """
 from __future__ import annotations
@@ -22,9 +29,8 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import engine, nonadaptive
 from .codespace import (
     CodeSpace,
     DEFAULT_ENUMERATION_BUDGET,
@@ -37,7 +43,6 @@ from .codespace import (
     parse_code,
     symmetry_bytes,
 )
-from .combinatorics import bound_report
 from .errors import (
     CapacityError,
     ContradictionError,
@@ -46,7 +51,6 @@ from .errors import (
     ProtocolError,
     QuerymindError,
 )
-from .strategies import STRATEGY_NAMES, get_strategy
 
 SCHEMA_VERSION = 1
 
@@ -104,16 +108,15 @@ def _add_budget_flags(
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="querymind",
-        description="Mastermind-variant experiments: solvers, adversaries, exact bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_strategy_flag(p: argparse.ArgumentParser) -> None:
+    from .strategies import STRATEGY_NAMES
 
-    p = sub.add_parser("solve", help="play one adaptive game against a hidden code")
-    _add_config_flags(p)
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default="minimax")
+
+
+def _solve_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flags(p)
+    _add_strategy_flag(p)
     p.add_argument(
         "--hidden",
         default=None,
@@ -122,28 +125,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed of the hidden-code pick")
     _add_budget_flags(p, "solve")
 
-    p = sub.add_parser("worst-case", help="sweep every hidden code for a strategy")
+
+def _worst_case_flags(p: argparse.ArgumentParser) -> None:
     _add_config_flags(p)
-    p.add_argument("--strategy", choices=STRATEGY_NAMES, default="minimax")
+    _add_strategy_flag(p)
     _add_budget_flags(p, "worst-case")
 
-    p = sub.add_parser("exact-value", help="exact optimal worst-case query count")
+
+def _exact_value_flags(p: argparse.ArgumentParser) -> None:
     _add_config_flags(p)
     _add_budget_flags(p, "exact-value")
 
-    p = sub.add_parser("bounds", help="exact lower-bound report for (n, k)")
+
+def _bounds_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--log-base", choices=["e", "2"], default="e")
 
-    p = sub.add_parser("adversary-trace", help="play against the max-bucket adversary")
+
+def _adversary_trace_flags(p: argparse.ArgumentParser) -> None:
     _add_config_flags(p)
-    p.add_argument("--strategy", choices=STRATEGY_NAMES, default="minimax")
+    _add_strategy_flag(p)
     _add_budget_flags(p, "adversary-trace")
 
-    p = sub.add_parser(
-        "nonadaptive-search", help="minimal identifiable non-adaptive query set"
-    )
+
+def _nonadaptive_search_flags(p: argparse.ArgumentParser) -> None:
     _add_config_flags(p, mode_default="nonadaptive")
     p.add_argument("--s-cap", type=int, default=8, help="largest set size to try")
     p.add_argument(
@@ -158,14 +164,31 @@ def build_parser() -> argparse.ArgumentParser:
         note=f"; {DEFAULT_ENUMERATION_BUDGET} with --queries-file",
     )
 
-    p = sub.add_parser("entropy-audit", help="single-query response entropy")
+
+def _entropy_audit_flags(p: argparse.ArgumentParser) -> None:
     _add_config_flags(p, mode_default="nonadaptive")
     p.add_argument("--query", default=None, help="query code; default lex-first")
 
-    for p in sub.choices.values():
-        p.add_argument(
-            "--out", default=".", help="artifact directory (env QUERYMIND_OUT overrides)"
-        )
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of `command` only, or
+    of every subcommand when it is None (as the top-level --help needs).
+
+    A subcommand without its flags refuses any flag, so parse an argument
+    vector only with the parser of its own command, or of None.
+    """
+    parser = argparse.ArgumentParser(
+        prog="querymind",
+        description="Mastermind-variant experiments: solvers, adversaries, exact bounds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in _COMMANDS.items():
+        p = sub.add_parser(name, help=entry.help)
+        if command in (None, name):
+            entry.add_flags(p)
+            p.add_argument(
+                "--out", default=".", help="artifact directory (env QUERYMIND_OUT overrides)"
+            )
     return parser
 
 
@@ -261,6 +284,9 @@ def _table_space(args: argparse.Namespace, config: VariantConfig) -> CodeSpace:
 
 
 def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
+    from . import engine
+    from .strategies import get_strategy
+
     space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     if args.hidden is not None:
         hidden = parse_code(args.hidden)
@@ -281,6 +307,9 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
+    from . import engine
+    from .strategies import get_strategy
+
     space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     strategy = get_strategy(args.strategy)
     result = engine.worst_case_queries(strategy, space, turn_budget=args.turn_budget)
@@ -306,6 +335,8 @@ def _cmd_worst_case(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
+    from . import engine
+
     space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     result = engine.exact_game_value(space, depth_cap=args.turn_budget)
     _write_result(out, "exact_value", args, "result", result.to_json())
@@ -315,6 +346,8 @@ def _cmd_exact_value(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
+    from .combinatorics import bound_report
+
     # k**n has floor(n*log10(k)) + 1 digits; the report writes it as a string
     digit_limit = sys.get_int_max_str_digits()
     if digit_limit and args.k >= 1 and args.n * math.log10(args.k) >= digit_limit:
@@ -331,6 +364,9 @@ def _cmd_bounds(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
+    from . import engine
+    from .strategies import get_strategy
+
     space = _table_space(args, _config_from(args, Mode.ADAPTIVE))
     strategy = get_strategy(args.strategy)
     transcript = engine.play_adversarial(strategy, space, turn_budget=args.turn_budget)
@@ -348,6 +384,8 @@ def _cmd_adversary_trace(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
+    from . import nonadaptive
+
     config = _config_from(args, Mode.NON_ADAPTIVE)
     if args.queries_file is not None:
         space = CodeSpace.enumerate(config, _space_budget(args, DEFAULT_ENUMERATION_BUDGET))
@@ -374,6 +412,8 @@ def _cmd_nonadaptive_search(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_entropy_audit(args: argparse.Namespace, out: Path) -> int:
+    from . import nonadaptive
+
     config = _config_from(args)
     # the audit rejects repeats-allowed configs, so 1..n is the lex-first code
     query = parse_code(args.query) if args.query else tuple(range(1, config.n + 1))
@@ -384,26 +424,49 @@ def _cmd_entropy_audit(args: argparse.Namespace, out: Path) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    help: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace, Path], int]
+
+
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "worst-case": _cmd_worst_case,
-    "exact-value": _cmd_exact_value,
-    "bounds": _cmd_bounds,
-    "adversary-trace": _cmd_adversary_trace,
-    "nonadaptive-search": _cmd_nonadaptive_search,
-    "entropy-audit": _cmd_entropy_audit,
+    "solve": _Command(
+        "play one adaptive game against a hidden code", _solve_flags, _cmd_solve
+    ),
+    "worst-case": _Command(
+        "sweep every hidden code for a strategy", _worst_case_flags, _cmd_worst_case
+    ),
+    "exact-value": _Command(
+        "exact optimal worst-case query count", _exact_value_flags, _cmd_exact_value
+    ),
+    "bounds": _Command("exact lower-bound report for (n, k)", _bounds_flags, _cmd_bounds),
+    "adversary-trace": _Command(
+        "play against the max-bucket adversary", _adversary_trace_flags, _cmd_adversary_trace
+    ),
+    "nonadaptive-search": _Command(
+        "minimal identifiable non-adaptive query set",
+        _nonadaptive_search_flags,
+        _cmd_nonadaptive_search,
+    ),
+    "entropy-audit": _Command(
+        "single-query response entropy", _entropy_audit_flags, _cmd_entropy_audit
+    ),
 }
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # any vector that does not start with a command name (--help, an unknown
+    # command) is parsed by the parser with every flag
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         out = _out_dir(args)
-        return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command].handler(args, out)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

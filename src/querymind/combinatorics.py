@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._intmath import ceil_log
 from .errors import DomainError
 
 # Integer-scaled harmonic brackets: H_m is trapped in an interval of width
@@ -82,20 +83,6 @@ def lemma2_bound(n: int, c: int, t: int) -> Fraction:
         raise DomainError(f"need 0 <= t <= n - c = {n - c}, got t={t}")
     num = math.factorial(c) - (harmonic(c + t) - harmonic(c))
     return num / math.factorial(c + t)
-
-
-def ceil_log(base: int, m: int) -> int:
-    """Smallest t >= 0 with base**t >= m, i.e. ceil(log_base(m)) for m >= 1.
-
-    Compared in exact integers so the ceiling never suffers float rounding.
-    """
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    t, power = 0, 1
-    while power < m:
-        power *= base
-        t += 1
-    return t
 
 
 def trivial_lower_bound(n: int) -> int:

@@ -11,6 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._intmath import ceil_log
 from .codespace import (
     Code,
     CodeSpace,
@@ -21,7 +22,6 @@ from .codespace import (
     format_code,
     validate_code,
 )
-from .combinatorics import ceil_log
 from .errors import DomainError, ProtocolError
 from .strategies import (
     SolutionSet,

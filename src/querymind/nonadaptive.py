@@ -4,7 +4,8 @@ Response vectors here are black-peg counts only, in either feedback mode and
 with or without repeats: a query set that identifies every code from black
 pegs is a resolving set of the Hamming graph when repeats are allowed.
 White-peg analysis is out of scope, and the entropy audit and lower bound
-cover the no-repeats non-adaptive lower bound only.
+cover the no-repeats non-adaptive lower bound only. They import their
+helpers from combinatorics when called, so the search does not load it.
 """
 from __future__ import annotations
 
@@ -23,11 +24,6 @@ from .codespace import (
     hamming_labels,
     parse_code,
     validate_code,
-)
-from .combinatorics import (
-    entropy_lower_bound,
-    match_distribution,
-    shannon_entropy,
 )
 from .errors import DomainError
 
@@ -109,6 +105,8 @@ def _refine(labels: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
 
 def _entropy_lb_or_none(config: VariantConfig) -> Optional[int]:
     if config.repeats is Repeats.FORBIDDEN:
+        from .combinatorics import entropy_lower_bound
+
         return entropy_lower_bound(config.n, config.k)
     return None
 
@@ -240,4 +238,6 @@ def entropy_audit(config: VariantConfig, q: Code) -> float:
     if config.repeats is not Repeats.FORBIDDEN:
         raise DomainError("entropy audit applies to repeats-forbidden configs only")
     validate_code(q, config)
+    from .combinatorics import match_distribution, shannon_entropy
+
     return shannon_entropy(match_distribution(config.n, config.k))

@@ -3,11 +3,12 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import pytest
 
 from querymind import _kernels, codespace
-from querymind.cli import run
+from querymind.cli import build_parser, run
 from querymind.codespace import (
     CodeSpace,
     FeedbackMode,
@@ -61,6 +62,73 @@ class TestFlags:
         config = ["--n", "2", "--k", "2", "--repeats", "no"]
         assert run([command, *config, *flag, "--out", str(tmp_path)]) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# an argument vector per command that uses every one of its flags
+EVERY_FLAG = {
+    "solve": "--n 3 --k 3 --feedback b --repeats no --mode adaptive --strategy basis "
+    "--hidden 1,2,3 --seed 4 --turn-budget 5 --space-budget 6 --out o",
+    "worst-case": "--n 3 --k 3 --feedback b --repeats no --mode nonadaptive "
+    "--strategy first-consistent --turn-budget 5 --space-budget 6 --out o",
+    "exact-value": "--n 3 --k 3 --feedback b --repeats no --mode adaptive "
+    "--turn-budget 5 --space-budget 6 --out o",
+    "bounds": "--n 3 --k 3 --log-base 2 --out o",
+    "adversary-trace": "--n 3 --k 3 --feedback b --repeats yes --mode adaptive "
+    "--strategy minimax --turn-budget 5 --space-budget 6 --out o",
+    "nonadaptive-search": "--n 3 --k 3 --feedback bw --repeats no --mode adaptive "
+    "--s-cap 3 --queries-file q --space-budget 6 --out o",
+    "entropy-audit": "--n 3 --k 3 --feedback b --repeats no --mode adaptive "
+    "--query 1,2,3 --out o",
+}
+
+
+def _help(parser, argv, capsys) -> str:
+    with pytest.raises(SystemExit):
+        parser.parse_args([*argv, "--help"])
+    return capsys.readouterr().out
+
+
+class TestParser:
+    """build_parser(command) adds only that command's flags; what it parses
+    and prints must equal the full parser's."""
+
+    @pytest.mark.parametrize("command", list(EVERY_FLAG))
+    def test_one_command_parses_as_the_full_parser(self, command, capsys):
+        argv = [command, *EVERY_FLAG[command].split()]
+        full, one = build_parser(), build_parser(command)
+        flags = set(re.findall(r"(?<![\w-])--[a-z-]+", _help(full, [command], capsys)))
+        assert flags - {"--help"} == {a for a in argv if a.startswith("--")}
+        assert one.parse_args(argv) == full.parse_args(argv)
+        assert one.format_help() == full.format_help()
+        assert _help(one, [command], capsys) == _help(full, [command], capsys)
+
+    def test_one_command_refuses_the_flags_of_another(self):
+        with pytest.raises(SystemExit):
+            build_parser("solve").parse_args(["bounds", "--n", "3", "--k", "3"])
+
+    def test_no_command_builds_every_flag(self):
+        # perfbench/envinfo.py parses with build_parser() this way
+        args = build_parser().parse_args(["worst-case", "--n", "1", "--k", "1"])
+        assert (args.strategy, args.space_budget, args.out) == ("minimax", None, ".")
+        for command, flags in EVERY_FLAG.items():
+            build_parser().parse_args([command, *flags.split()])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["no-such-command", "--n", "3"],
+            ["solve", "--k", "3"],
+            ["worst-case", "--n", "2", "--k", "2", "--strategy", "no-such-strategy"],
+        ],
+        ids=["unknown command", "missing --n", "bad --strategy"],
+    )
+    def test_refusals_exit_1_with_the_full_parsers_message(self, argv, tmp_path, capsys):
+        argv = [*argv, "--out", str(tmp_path)]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr().err
+        assert run(argv) == 1
+        assert capsys.readouterr().err == expected
 
 
 class TestExitCodes:
